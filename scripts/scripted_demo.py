@@ -137,11 +137,12 @@ def main() -> int:
     if rc != 0:
         return rc
     run_dir = sorted((workdir / "runs").iterdir())[-1]
-    cli.main(["report", str(run_dir)])
-    cli.main(["replay", str(run_dir)])
+    report_rc = cli.main(["report", str(run_dir)])
+    replay_rc = cli.main(["replay", str(run_dir)])
     print(f"\ndemo artifacts in {run_dir}")
-    print((run_dir / "report.md").read_text())
-    return 0
+    if report_rc == 0:
+        print((run_dir / "report.md").read_text())
+    return report_rc or replay_rc
 
 
 if __name__ == "__main__":

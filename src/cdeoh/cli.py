@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -44,7 +45,7 @@ _EVOLUTION_KEYS = {"population_size", "elite_categories", "lambda", "reflection_
                    "max_samples", "max_generations", "enable_categories",
                    "enable_reflection", "rng_seed"}
 _PROVIDER_KEYS = {"provider", "base_url", "model", "temperature", "max_retries",
-                  "transcript_path", "max_in_flight", "max_prompt_bytes", "retry_backoff_s"}
+                  "transcript_path", "max_prompt_bytes", "retry_backoff_s"}
 _TOP_KEYS = {"task", "suite", "evolution", "provider", "output_dir"}
 
 
@@ -52,6 +53,15 @@ def _reject_unknown(section: str, data: dict, allowed: set[str]) -> None:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+
+
+def _section(data: dict, name: str, allowed: set[str]) -> dict:
+    """A copy of the object under `name` (default empty), with its keys checked."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be an object")
+    _reject_unknown(name, section, allowed)
+    return dict(section)
 
 
 @dataclass
@@ -99,16 +109,9 @@ def load_run_config(path: str | Path) -> RunConfig:
     if task not in problems.TASKS:
         raise ConfigError(f"task must be one of {problems.TASKS}, got {task!r}")
 
-    suite_cfg = data.get("suite", {})
-    if not isinstance(suite_cfg, dict):
-        raise ConfigError("suite must be an object")
-    allowed = _SUITE_KEYS_OBP if task == "obp" else _SUITE_KEYS_TSP
-    _reject_unknown("suite", suite_cfg, allowed)
+    suite_cfg = _section(data, "suite", _SUITE_KEYS_OBP if task == "obp" else _SUITE_KEYS_TSP)
 
-    evo_cfg = dict(data.get("evolution", {}))
-    if not isinstance(evo_cfg, dict):
-        raise ConfigError("evolution must be an object")
-    _reject_unknown("evolution", evo_cfg, _EVOLUTION_KEYS)
+    evo_cfg = _section(data, "evolution", _EVOLUTION_KEYS)
     if "lambda" in evo_cfg:
         evo_cfg["lambda_weight"] = evo_cfg.pop("lambda")
     try:
@@ -116,10 +119,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid evolution config: {e}") from e
 
-    prov_cfg = dict(data.get("provider", {}))
-    if not isinstance(prov_cfg, dict):
-        raise ConfigError("provider must be an object")
-    _reject_unknown("provider", prov_cfg, _PROVIDER_KEYS)
+    prov_cfg = _section(data, "provider", _PROVIDER_KEYS)
     if prov_cfg.get("provider", "scripted") == "scripted" and prov_cfg.get("transcript_path"):
         # transcript paths are resolved relative to the config file
         tp = Path(prov_cfg["transcript_path"])
@@ -142,31 +142,29 @@ def load_run_config(path: str | Path) -> RunConfig:
 # --------------------------------------------------------------------------
 
 class RunLogWriter:
-    """Single serialized writer of the append-only event stream."""
+    """Single serialized writer of the event stream; replay leaves out `ts`."""
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, fh: TextIO, timestamps: bool = True):
         self.seq = 0
-        self._fh = path.open("w")
+        self._fh = fh
+        self._timestamps = timestamps
 
     def emit(self, event: str, payload: dict) -> None:
         assert event in EVENT_TYPES, event
-        record = {
-            "seq": self.seq,
-            "ts": datetime.now(timezone.utc).isoformat(),  # excluded from replay equality
-            "event": event,
-            "payload": payload,
-        }
+        record = {"seq": self.seq, "event": event, "payload": payload}
+        if self._timestamps:
+            record["ts"] = datetime.now(timezone.utc).isoformat()
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self.seq += 1
 
-    def close(self) -> None:
-        self._fh.close()
+
+def parse_events(text: str) -> list[dict]:
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
 def read_events(path: Path) -> list[dict]:
-    return [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
+    return parse_events(path.read_text())
 
 
 def strip_timestamps(events) -> list[dict]:
@@ -250,16 +248,14 @@ def cmd_run(config_path: str) -> int:
     if cfg.provider.provider == "scripted":
         shutil.copy(cfg.provider.transcript_path, run_dir / "transcript.jsonl")
 
-    log = RunLogWriter(run_dir / "events.jsonl")
     try:
-        provider = llm.make_provider(cfg.provider)
-        engine = EvolutionEngine(cfg.evolution, provider, suite, log=log.emit)
-        best, stats = engine.run()
+        with (run_dir / "events.jsonl").open("w") as fh:
+            provider = llm.make_provider(cfg.provider)
+            engine = EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit)
+            best, stats = engine.run()
     except (BudgetExhaustedError, ProviderError, ValueError) as e:
-        log.close()
         print(f"error: {e}", file=sys.stderr)
         return 1
-    log.close()
 
     for gen, population in enumerate(engine.populations):
         snapshot = [c.__dict__ for c in population.members]
@@ -283,21 +279,13 @@ def cmd_run(config_path: str) -> int:
 # --------------------------------------------------------------------------
 
 def _suite_from_args(args) -> BenchmarkSuite:
-    if getattr(args, "suite_file", None):
+    if args.suite_file:
         return problems.load_suite(args.suite_file)
-    if args.task == "obp":
-        return problems.make_obp_suite(
-            sizes=args.sizes or [1000],
-            capacities=args.capacities or [100],
-            seeds=args.seeds or list(problems.DEFAULT_OBP_SEEDS),
-        )
-    if args.task == "tsp":
-        return problems.make_tsp_suite(
-            sizes=args.sizes or [50],
-            seeds=args.seeds or list(problems.DEFAULT_TSP_SEEDS),
-            mode=args.mode,
-        )
-    raise ConfigError("--task obp|tsp is required (or --suite-file)")
+    if args.task is None:
+        raise ConfigError("--task obp|tsp is required (or --suite-file)")
+    options = {"sizes": args.sizes, "capacities": args.capacities,
+               "seeds": args.seeds, "mode": args.mode}
+    return build_suite(args.task, {k: v for k, v in options.items() if v is not None})
 
 
 def _load_heuristic_code(path: Path) -> str:
@@ -402,18 +390,12 @@ def _replay_events(run_dir: Path) -> list[dict]:
         cfg.provider.transcript_path = str(transcript)
     elif not Path(cfg.provider.transcript_path or "").exists():
         raise ConfigError("transcript not found for replay")
-    collected: list[dict] = []
-    seq = 0
-
-    def collect(event: str, payload: dict) -> None:
-        nonlocal seq
-        collected.append({"seq": seq, "event": event, "payload": payload})
-        seq += 1
-
+    buf = io.StringIO()
     provider = llm.make_provider(cfg.provider)
-    engine = EvolutionEngine(cfg.evolution, provider, cfg.build_suite(), log=collect)
+    engine = EvolutionEngine(cfg.evolution, provider, cfg.build_suite(),
+                             log=RunLogWriter(buf, timestamps=False).emit)
     engine.run()
-    return collected
+    return parse_events(buf.getvalue())
 
 
 def cmd_replay(run_dir_arg: str) -> int:
@@ -428,8 +410,6 @@ def cmd_replay(run_dir_arg: str) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     recorded = strip_timestamps(read_events(events_path))
-    # round-trip through JSON so tuples/lists compare equal
-    replayed = json.loads(json.dumps(replayed))
     for i, (a, b) in enumerate(zip(recorded, replayed)):
         if a != b:
             print(f"divergence at seq {i}", file=sys.stderr)
@@ -452,10 +432,7 @@ def cmd_report(run_dir_arg: str) -> int:
     if not rows:
         print("error: incomplete run: no generation summaries logged", file=sys.stderr)
         return 2
-    with (run_dir / "report.csv").open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    write_summary_csv(run_dir / "report.csv", events)
 
     best = best_candidate_from_events(events)
     lines = [

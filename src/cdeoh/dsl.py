@@ -231,6 +231,7 @@ class _Parser:
         self.toks = _tokenize(source)
         self.i = 0
         self.depth = 0
+        self.heights: dict[int, int] = {}  # id(node) -> height, for non-leaf nodes
         self.inputs = dict(inputs)
         self.scope: set[str] = set(self.inputs)
 
@@ -250,6 +251,21 @@ class _Parser:
 
     def _fail(self, msg: str, tok: _Token):
         raise ParseError(msg, self.source, tok.offset)
+
+    def _nesting_error(self) -> ParseError:
+        return ParseError(f"expression nesting exceeds {MAX_NESTING_DEPTH} levels",
+                          self.source, self._peek().offset)
+
+    def _node(self, node: Expr, *children: Expr) -> Expr:
+        """Bound the height of the built tree; operator chains add no atom depth."""
+        height = 1 + max(self.heights.get(id(c), 1) for c in children)
+        if height > MAX_NESTING_DEPTH:
+            raise self._nesting_error()
+        self.heights[id(node)] = height
+        return node
+
+    def _binary(self, op: str, left: Expr, right: Expr) -> Expr:
+        return self._node(Binary(op, left, right), left, right)
 
     def parse_program(self) -> Program:
         bindings: list[tuple[str, Expr]] = []
@@ -291,7 +307,7 @@ class _Parser:
         if t.kind == "op" and t.text in CMP_OPS:
             self._next()
             right = self.parse_expr()
-            return Binary(t.text, left, right)
+            return self._binary(t.text, left, right)
         return left
 
     def parse_expr(self) -> Expr:
@@ -300,7 +316,7 @@ class _Parser:
             t = self._peek()
             if t.kind == "op" and t.text in ("+", "-"):
                 self._next()
-                node = Binary(t.text, node, self.parse_term())
+                node = self._binary(t.text, node, self.parse_term())
             else:
                 return node
 
@@ -310,7 +326,7 @@ class _Parser:
             t = self._peek()
             if t.kind == "op" and t.text in ("*", "/"):
                 self._next()
-                node = Binary(t.text, node, self.parse_factor())
+                node = self._binary(t.text, node, self.parse_factor())
             else:
                 return node
 
@@ -318,15 +334,14 @@ class _Parser:
         t = self._peek()
         if t.kind == "op" and t.text == "-":
             self._next()
-            return Unary("neg", self.parse_atom())
+            operand = self.parse_atom()
+            return self._node(Unary("neg", operand), operand)
         return self.parse_atom()
 
     def parse_atom(self) -> Expr:
         self.depth += 1
         if self.depth > MAX_NESTING_DEPTH:
-            raise ParseError(
-                f"expression nesting exceeds {MAX_NESTING_DEPTH} levels", self.source, self._peek().offset
-            )
+            raise self._nesting_error()
         try:
             return self._parse_atom_inner()
         finally:
@@ -343,7 +358,7 @@ class _Parser:
                 self._next()
                 right = self.parse_expr()
                 self._expect_op(")")
-                return Binary(nxt.text, inner, right)
+                return self._binary(nxt.text, inner, right)
             self._expect_op(")")
             return inner
         if t.kind == "ident":
@@ -371,10 +386,12 @@ class _Parser:
         if len(args) != want:
             self._fail(f"{fname}() takes {want} argument(s), got {len(args)}", name_tok)
         if fname == "where":
-            return Where(args[0], args[1], args[2])
-        if fname in REDUCTIONS:
-            return Reduce(fname, args[0])
-        return Call(fname, tuple(args))
+            node = Where(args[0], args[1], args[2])
+        elif fname in REDUCTIONS:
+            node = Reduce(fname, args[0])
+        else:
+            node = Call(fname, tuple(args))
+        return self._node(node, *args)
 
 
 def parse(source: str, inputs: Mapping[str, Kind] | None = None) -> Program:

@@ -10,8 +10,8 @@ the rest.
 
 from __future__ import annotations
 
+import itertools
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -136,19 +136,17 @@ class GenerationStats:
 
 
 class SampleBudget:
-    """Thread-safe counter of candidate-producing provider calls."""
+    """Counter of candidate-producing provider calls."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self._lock = threading.Lock()
 
     def try_consume(self) -> bool:
-        with self._lock:
-            if self.used >= self.limit:
-                return False
-            self.used += 1
-            return True
+        if self.used >= self.limit:
+            return False
+        self.used += 1
+        return True
 
     @property
     def exhausted(self) -> bool:
@@ -236,18 +234,12 @@ class EvolutionEngine:
         self.budget = SampleBudget(config.max_samples)
         self.pool = CategoryPool()
         self._log = log or (lambda event, payload: None)
-        self._id_lock = threading.Lock()
-        self._next_id = 0
+        self._ids = itertools.count(1)
         self._gen_new_categories: list[str] = []
         self.populations: list[Population] = []  # one per generation, 0 = init
         self.best: Candidate | None = None
 
     # ------------------------------------------------------------- plumbing
-
-    def _issue_id(self) -> int:
-        with self._id_lock:
-            self._next_id += 1
-            return self._next_id
 
     def _ctx(self, **kw) -> PromptContext:
         return PromptContext(**self.base_ctx, **kw)
@@ -293,7 +285,7 @@ class EvolutionEngine:
             return str(e)
         category = self._categorize(thought, code)
         candidate = Candidate(
-            id=self._issue_id(), thought=thought, code=code, category=category,
+            id=next(self._ids), thought=thought, code=code, category=category,
             fitness=report.fitness, origin=origin, generation_born=generation,
             parent_id=parent_id, reflection_attempts=reflection_attempts,
         )
@@ -327,14 +319,15 @@ class EvolutionEngine:
             code = e.code or raw
             self._log("evaluation", {"generation": generation, "parent_id": parent_id,
                                      "origin": origin, "error": str(e)})
-            return self._reflect_loop(thought, code, str(e), parent_id, generation)
+            return self.try_reflect(thought, code, str(e), parent_id, generation)
         result = self._attempt(thought, code, origin, parent_id, generation)
         if isinstance(result, Candidate):
             return result
-        return self._reflect_loop(thought, code, result, parent_id, generation)
+        return self.try_reflect(thought, code, result, parent_id, generation)
 
-    def _reflect_loop(self, thought: str, code: str, error: str,
-                      parent_id: int | None, generation: int) -> Candidate | None:
+    def try_reflect(self, thought: str, code: str, error: str,
+                    parent_id: int | None = None, generation: int = 0) -> Candidate | None:
+        """Up to `reflection_budget` repair calls; the repaired Candidate or None."""
         budget_b = self.config.reflection_budget
         if not self.config.enable_reflection or budget_b < 1:
             self._log("reflection", {"generation": generation, "parent_id": parent_id,
@@ -404,10 +397,6 @@ class EvolutionEngine:
                 out.append(candidate)
         return out
 
-    def try_reflect(self, thought: str, code: str, error: str,
-                    parent_id: int | None = None, generation: int = 0) -> Candidate | None:
-        return self._reflect_loop(thought, code, error, parent_id, generation)
-
     def run(self) -> tuple[Candidate, list[GenerationStats]]:
         cfg = self.config
         stats: list[GenerationStats] = []
@@ -462,11 +451,6 @@ class EvolutionEngine:
             "new_categories": list(gs.new_categories),
         })
         return gs
-
-
-def initialize(config: EvolutionConfig, provider, suite: BenchmarkSuite,
-               log: LogFn | None = None) -> Population:
-    return EvolutionEngine(config, provider, suite, log).initialize()
 
 
 def run_evolution(config: EvolutionConfig, provider, suite: BenchmarkSuite,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import string
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -104,7 +103,6 @@ class ProviderConfig:
     temperature: float = GENERATION_TEMPERATURE_DEFAULT
     max_retries: int = 3
     transcript_path: str | None = None
-    max_in_flight: int = 4
     max_prompt_bytes: int = DEFAULT_MAX_PROMPT_BYTES
     retry_backoff_s: float = 0.5
 
@@ -119,8 +117,6 @@ class ProviderConfig:
                 raise ValueError("http provider requires base_url and model")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
 
 
 # --------------------------------------------------------------------------
@@ -297,7 +293,6 @@ class ScriptedProvider:
         self.config = config or ProviderConfig(provider="scripted", transcript_path=str(transcript_path))
         self._entries: dict[tuple[str, int], str] = {}
         self._counters: dict[str, int] = {}
-        self._lock = threading.Lock()
         path = Path(transcript_path)
         for lineno, line in enumerate(path.read_text().splitlines(), 1):
             if not line.strip():
@@ -309,15 +304,12 @@ class ScriptedProvider:
             self._entries[key] = str(obj["response"])
 
     def calls_made(self, kind: str | PromptKind) -> int:
-        kind = PromptKind(kind).value
-        with self._lock:
-            return self._counters.get(kind, 0)
+        return self._counters.get(PromptKind(kind).value, 0)
 
     def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
         kind = prompt_kind_of(prompt).value
-        with self._lock:
-            index = self._counters.get(kind, 0)
-            self._counters[kind] = index + 1
+        index = self._counters.get(kind, 0)
+        self._counters[kind] = index + 1
         try:
             return self._entries[(kind, index)]
         except KeyError:
@@ -346,21 +338,9 @@ class HttpProvider:
         self.api_key = os.environ.get(API_KEY_ENV)
         if not self.api_key:
             raise ValueError(f"{API_KEY_ENV} is not set (the key is never read from config files)")
-        self._slots = threading.Semaphore(config.max_in_flight)
-        self._gate_lock = threading.Lock()
-        self._not_before = 0.0  # shared rate-limit gate
-
-    def _wait_for_gate(self) -> None:
-        with self._gate_lock:
-            delay = self._not_before - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-
-    def _push_gate(self, seconds: float) -> None:
-        with self._gate_lock:
-            self._not_before = max(self._not_before, time.monotonic() + seconds)
 
     def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
+        """Network errors, 429 and 5xx are retried after `backoff`, doubled each time."""
         temp = self.config.temperature if temperature is None else temperature
         body = {
             "model": self.config.model,
@@ -371,27 +351,21 @@ class HttpProvider:
         url = f"{self.base_url}/chat/completions"
         backoff = self.config.retry_backoff_s
         last: ProviderError | None = None
-        for attempt in range(self.config.max_retries):
-            self._wait_for_gate()
-            with self._slots:
-                try:
-                    resp = requests.post(url, json=body, headers=headers, timeout=120)
-                except requests.RequestException as e:
-                    last = ProviderError("network", f"attempt {attempt + 1}: {e}")
-                    time.sleep(backoff)
-                    backoff *= 2
-                    continue
-            if resp.status_code == 429:
-                self._push_gate(backoff)
-                last = ProviderError("rate-limited-exhausted",
-                                     f"attempt {attempt + 1}: rate limited (429)")
+        for attempt in range(1, self.config.max_retries + 1):
+            if last is not None:
+                time.sleep(backoff)
                 backoff *= 2
+            try:
+                resp = requests.post(url, json=body, headers=headers, timeout=120)
+            except requests.RequestException as e:
+                last = ProviderError("network", f"attempt {attempt}: {e}")
+                continue
+            if resp.status_code == 429:
+                last = ProviderError("rate-limited-exhausted", f"attempt {attempt}: rate limited (429)")
                 continue
             if resp.status_code >= 500:
                 last = ProviderError("http-status",
-                                     f"attempt {attempt + 1}: server returned {resp.status_code}")
-                time.sleep(backoff)
-                backoff *= 2
+                                     f"attempt {attempt}: server returned {resp.status_code}")
                 continue
             if resp.status_code != 200:
                 raise ProviderError("http-status", f"server returned {resp.status_code}: {resp.text[:200]}")
@@ -418,14 +392,6 @@ def make_provider(config: ProviderConfig) -> Provider:
 # --------------------------------------------------------------------------
 # High-level calls
 # --------------------------------------------------------------------------
-
-def generate(provider: Provider, kind: PromptKind, ctx: PromptContext) -> tuple[str, str]:
-    """Render a candidate-producing prompt, complete it, parse thought+code."""
-    assert kind in (PromptKind.INITIALIZATION, PromptKind.REFINEMENT, PromptKind.INNOVATION)
-    prompt = render_prompt(kind, ctx, provider.config.max_prompt_bytes)
-    raw = provider.complete(prompt, seed=ctx.seed, temperature=provider.config.temperature)
-    return parse_generation(raw)
-
 
 def induce_category(provider: Provider, ctx: PromptContext) -> str:
     """Ask for an algorithm-paradigm label and canonicalize it."""

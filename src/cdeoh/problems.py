@@ -472,21 +472,8 @@ def obp_setting_label(n_items: int, capacity: int) -> str:
     return f"{n_items}C{capacity}"
 
 
-def parse_obp_setting(label: str) -> tuple[int, int]:
-    """'1kC100' -> (1000, 100); '500C100' -> (500, 100)."""
-    head, _, cap = label.partition("C")
-    if not cap:
-        raise ValueError(f"bad OBP setting {label!r}")
-    mult = 1
-    if head.endswith(("k", "K")):
-        head, mult = head[:-1], 1000
-    return int(head) * mult, int(cap)
-
-
 DEFAULT_OBP_SEEDS = (1, 2, 3, 4, 5)
-DEFAULT_OBP_SETTINGS = ("1kC100", "1kC500", "5kC100", "5kC500", "10kC100", "10kC500")
 DEFAULT_TSP_SEEDS = (1, 2, 3, 4)
-DEFAULT_TSP_SIZES = (50, 100, 200, 500)
 
 
 def make_obp_suite(sizes: Iterable[int], capacities: Iterable[int],
@@ -509,23 +496,6 @@ def make_tsp_suite(sizes: Iterable[int], seeds: Iterable[int] = DEFAULT_TSP_SEED
             instances.append(gen_tsp(seed, n, mode))
             labels.append(f"size{n}")
     return BenchmarkSuite(task="tsp", instances=tuple(instances), labels=tuple(labels))
-
-
-def default_obp_suite(settings: Iterable[str] = DEFAULT_OBP_SETTINGS,
-                      seeds: Iterable[int] = DEFAULT_OBP_SEEDS) -> BenchmarkSuite:
-    instances, labels = [], []
-    for label in settings:
-        n, cap = parse_obp_setting(label)
-        for seed in seeds:
-            instances.append(gen_obp(seed, n, cap))
-            labels.append(obp_setting_label(n, cap))
-    return BenchmarkSuite(task="obp", instances=tuple(instances), labels=tuple(labels))
-
-
-def default_tsp_suite(sizes: Iterable[int] = DEFAULT_TSP_SIZES,
-                      seeds: Iterable[int] = DEFAULT_TSP_SEEDS,
-                      mode: str = "uniform") -> BenchmarkSuite:
-    return make_tsp_suite(sizes, seeds, mode)
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,19 @@ def test_config_invalid_lambda_fails_before_any_provider(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("section", ["evolution", "provider"])
+@pytest.mark.parametrize("value", [5, "ab", [["population_size", 3]]])
+def test_config_section_must_be_an_object(tmp_path, section, value):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    cfg = json.loads(cfg_path.read_text())
+    cfg[section] = value
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
+        load_run_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_bad_task(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"task": "sudoku"}))

@@ -346,6 +346,10 @@ def test_sandbox_rejects_absurd_nesting():
     src = "return " + "abs(" * 2000 + "1.0" + ")" * 2000
     with pytest.raises(ParseError, match="nesting"):
         parse(src, {})
+    # operator chains are built in a loop, so they need their own bound
+    chain = "return " + " + ".join(["cap_remaining"] * 1200)
+    with pytest.raises(ParseError, match=f"nesting exceeds {dsl.MAX_NESTING_DEPTH}"):
+        parse(chain, {"cap_remaining": "vector"})
 
 
 def test_sandbox_node_budget_bounds_any_parsed_program():

@@ -1,5 +1,6 @@
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -218,8 +219,6 @@ def test_high_level_calls_through_scripted(tmp_path):
         ("category-induction", 0, "Greedy\nbecause it is"),
         ("reflection", 0, wrap_generation("fixed", "return item * 0 + 1")),
     ])
-    thought, code = llm.generate(provider, PromptKind.INITIALIZATION, ctx(seed=0))
-    assert thought == "greedy idea"
     label = llm.induce_category(provider, full_ctx())
     assert label == "greedy"
     t, c = llm.reflect(provider, full_ctx())
@@ -258,6 +257,10 @@ class _Handler(BaseHTTPRequestHandler):
         assert self.path.endswith("/chat/completions")
         if cls.behavior == "rate-limit-once" and cls.hits == 1:
             self.send_response(429)
+            self.end_headers()
+            return
+        if cls.behavior == "server-error-once" and cls.hits == 1:
+            self.send_response(503)
             self.end_headers()
             return
         if cls.behavior == "malformed":
@@ -310,6 +313,26 @@ def test_http_provider_unreachable_counts_attempts(monkeypatch):
         provider.complete("x")
     assert ei.value.kind == "network"
     assert "attempt 3" in str(ei.value)
+
+
+def test_http_provider_no_sleep_after_last_attempt(monkeypatch):
+    monkeypatch.setenv(llm.API_KEY_ENV, "k")
+    provider = llm.HttpProvider(http_config("http://127.0.0.1:9", max_retries=1,
+                                            retry_backoff_s=5))
+    start = time.monotonic()
+    with pytest.raises(ProviderError) as ei:
+        provider.complete("x")
+    assert ei.value.kind == "network"
+    assert time.monotonic() - start < 2.5
+
+
+def test_http_provider_retries_server_error(local_server, monkeypatch):
+    monkeypatch.setenv(llm.API_KEY_ENV, "k")
+    _Handler.behavior = "server-error-once"
+    provider = llm.HttpProvider(http_config(local_server))
+    out = provider.complete("after-503")
+    assert out.startswith("echo:")
+    assert _Handler.hits == 2
 
 
 def test_http_provider_retries_rate_limit(local_server, monkeypatch):

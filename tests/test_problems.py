@@ -333,8 +333,6 @@ def test_suite_labels():
     assert set(suite.labels) == {"1kC100"}
     tsp = make_tsp_suite([50], seeds=[1])
     assert tsp.labels == ("size50",)
-    assert problems.parse_obp_setting("10kC500") == (10000, 500)
-    assert problems.parse_obp_setting("500C100") == (500, 100)
 
 
 # ---------------------------------------------------------------- files

@@ -1,0 +1,30 @@
+"""Smoke tests: the scripts under scripts/ run end to end against the package."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_scripted_demo_runs_reports_and_replays(tmp_path):
+    proc = run_script("scripted_demo.py", str(tmp_path / "demo"), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "replay ok" in proc.stdout
+    run_dir = next((tmp_path / "demo" / "runs").iterdir())
+    assert (run_dir / "report.md").exists()
+
+
+def test_bench_baselines_quick(tmp_path):
+    proc = run_script("bench_baselines.py", "--quick", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "best-fit" in proc.stdout
+    assert "nearest-neighbor" in proc.stdout
