@@ -269,8 +269,8 @@ def cmd_run(config_path: str) -> int:
 
     print(f"run dir: {run_dir}")
     print(f"samples used: {sum(s.samples_used for s in stats)}")
-    fitness = best.fitness + 0.0  # avoid printing -0.0
-    print(f"best fitness: {fitness:.6f} (gap {-fitness:.6f}%) category: {best.category}")
+    fitness, gap = best.fitness + 0.0, -best.fitness + 0.0  # + 0.0 turns -0.0 into 0.0
+    print(f"best fitness: {fitness:.6f} (gap {gap:.6f}%) category: {best.category}")
     return 0
 
 

@@ -14,8 +14,9 @@ treat NaN priorities as "never pick this option").
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Mapping, Sequence, Union
+import operator
+from dataclasses import dataclass, field
+from typing import Callable, Literal, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -107,12 +108,17 @@ Expr = Union[Const, Name, Unary, Binary, Call, Where, Reduce]
 
 @dataclass(frozen=True)
 class Program:
-    """A parsed candidate; immutable, safe to evaluate from many threads."""
+    """A parsed candidate; immutable, safe to evaluate from many threads.
+
+    `parse` compiles it; a Program built directly is compiled when it is
+    first evaluated.  The compiled form takes no part in equality or repr.
+    """
 
     source: str
     bindings: tuple[tuple[str, Expr], ...]
     result: Expr
     arity: tuple[tuple[str, Kind], ...]
+    _compiled: "_Compiled | None" = field(default=None, init=False, repr=False, compare=False)
 
     def input_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.arity)
@@ -222,7 +228,7 @@ _FUNC_ARITY.update({name: 1 for name in REDUCTIONS})
 _FUNC_ARITY["where"] = 3
 
 
-MAX_NESTING_DEPTH = 120  # bounds parser and evaluator recursion
+MAX_NESTING_DEPTH = 120  # bounds parser, compiler and closure recursion
 
 
 class _Parser:
@@ -232,6 +238,7 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.heights: dict[int, int] = {}  # id(node) -> height, for non-leaf nodes
+        self.call_offsets: dict[int, int] = {}  # id(Reduce node) -> offset of its name
         self.inputs = dict(inputs)
         self.scope: set[str] = set(self.inputs)
 
@@ -291,12 +298,17 @@ class _Parser:
         tail = self._peek()
         if tail.kind != "eof":
             self._fail(f"unexpected trailing input {tail.text!r}", tail)
-        return Program(
+        program = Program(
             source=self.source,
             bindings=tuple(bindings),
             result=result,
             arity=tuple(self.inputs.items()),
         )
+        try:
+            _compiled(program)
+        except _KindError as e:
+            raise ParseError(e.message, self.source, self.call_offsets[id(e.node)]) from None
+        return program
 
     def parse_top_expr(self) -> Expr:
         # Lenient top level: bare comparisons like `a > b` are accepted in
@@ -389,6 +401,7 @@ class _Parser:
             node = Where(args[0], args[1], args[2])
         elif fname in REDUCTIONS:
             node = Reduce(fname, args[0])
+            self.call_offsets[id(node)] = name_tok.offset
         else:
             node = Call(fname, tuple(args))
         return self._node(node, *args)
@@ -399,7 +412,8 @@ def parse(source: str, inputs: Mapping[str, Kind] | None = None) -> Program:
 
     Raises ParseError (with offset, line and column) on any syntax error,
     reference to an undeclared identifier, unknown function, duplicate
-    binding or binding that shadows an input.  Total and deterministic.
+    binding, binding that shadows an input or reduction of a scalar.
+    Total and deterministic.
     """
     inputs = dict(inputs or {})
     for name, kind in inputs.items():
@@ -455,11 +469,165 @@ def pretty_print(program: Program) -> str:
 
 
 # --------------------------------------------------------------------------
-# Evaluator
+# Kind inference and compilation
 # --------------------------------------------------------------------------
+#
+# Every program is compiled once into nested closures over numpy ufuncs.
+# Kinds are static: an expression is a vector iff one of its operands is,
+# and a reduction of a scalar is rejected when the program is compiled.
+# All vector inputs of one call share one length, and every vector
+# expression is elementwise over them, so every vector in a call has that
+# length and the closures need no kind or length checks of their own.
 
 _Scalar = np.float64
+_FLOAT64 = np.dtype(np.float64)
+_NAN = _Scalar(np.nan)
 
+_ARITH_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+_CMP_IMPL = {
+    "<": np.less,
+    "<=": np.less_equal,
+    ">": np.greater,
+    ">=": np.greater_equal,
+    "==": np.equal,
+    "!=": np.not_equal,
+}
+
+_ELEMENTWISE_IMPL = {
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "log": np.log,
+    "exp": np.exp,
+    "floor": np.floor,
+    "ceil": np.ceil,
+    "min": np.minimum,
+    "max": np.maximum,
+    "pow": np.power,
+}
+
+
+def _mean(v: np.ndarray):
+    n = v.shape[0]
+    return np.add.reduce(v) / n if n else _NAN
+
+
+_REDUCTION_IMPL = {
+    "sum": np.add.reduce,
+    "mean": _mean,
+    "minval": np.minimum.reduce,
+    "maxval": np.maximum.reduce,
+    "len": lambda v: _Scalar(v.shape[0]),
+}
+
+# Reductions with no value on an empty vector.
+_NEEDS_NONEMPTY = ("minval", "maxval")
+
+
+class _KindError(Exception):
+    """A reduction applied to a scalar; `node` is the offending Reduce."""
+
+    def __init__(self, node: Reduce):
+        self.node = node
+        self.message = f"{node.func}() expects a vector argument, got a scalar"
+        super().__init__(self.message)
+
+
+@dataclass(frozen=True)
+class _Compiled:
+    run: Callable[[dict], object]  # env (input values) -> result, IEEE errors ignored
+    kind: Kind
+    input_names: frozenset[str]
+    n_nodes: int                   # nodes visited per call: each node once
+    empty_error: str | None        # the error of a call whose vectors are empty
+
+
+class _Compiler:
+    def __init__(self, arity: tuple[tuple[str, Kind], ...]):
+        self.kinds: dict[str, Kind] = dict(arity)
+        self.n_nodes = 0
+        self.empty_error: str | None = None
+
+    def compile(self, e: Expr) -> tuple[Callable[[dict], object], Kind]:
+        self.n_nodes += 1
+        if isinstance(e, Const):
+            c = _Scalar(e.value)
+            return (lambda env: c), "scalar"
+        if isinstance(e, Name):
+            return operator.itemgetter(e.ident), self.kinds[e.ident]
+        if isinstance(e, Unary):
+            a, kind = self.compile(e.operand)
+            neg = np.negative
+            return (lambda env: neg(a(env))), kind
+        if isinstance(e, Binary):
+            (a, ka), (b, kb) = self.compile(e.left), self.compile(e.right)
+            kind = _join(ka, kb)
+            if e.op in _ARITH_IMPL:
+                f = _ARITH_IMPL[e.op]
+                return (lambda env: f(a(env), b(env))), kind
+            f = _CMP_IMPL[e.op]
+            if kind == "vector":
+                return (lambda env: f(a(env), b(env)).astype(np.float64)), kind
+            return (lambda env: _Scalar(f(a(env), b(env)))), kind
+        if isinstance(e, Call):
+            f = _ELEMENTWISE_IMPL[e.func]
+            if len(e.args) == 1:
+                a, kind = self.compile(e.args[0])
+                return (lambda env: f(a(env))), kind
+            (a, ka), (b, kb) = self.compile(e.args[0]), self.compile(e.args[1])
+            return (lambda env: f(a(env), b(env))), _join(ka, kb)
+        if isinstance(e, Where):
+            (c, kc), (a, ka), (b, kb) = (self.compile(e.cond), self.compile(e.then),
+                                         self.compile(e.other))
+            kind = _join(kc, ka, kb)
+            if kind == "scalar":
+                return (lambda env: a(env) if c(env) != 0.0 else b(env)), kind
+            where, not_equal = np.where, np.not_equal
+            return (lambda env: where(not_equal(c(env), 0.0), a(env), b(env))), kind
+        if isinstance(e, Reduce):
+            a, kind = self.compile(e.arg)
+            if kind != "vector":
+                raise _KindError(e)
+            if e.func in _NEEDS_NONEMPTY and self.empty_error is None:
+                self.empty_error = f"{e.func}() of an empty vector"
+            f = _REDUCTION_IMPL[e.func]
+            return (lambda env: f(a(env))), "scalar"
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def program(self, program: Program) -> _Compiled:
+        steps = []
+        for name, expr in program.bindings:
+            fn, self.kinds[name] = self.compile(expr)
+            steps.append((name, fn))
+        result, kind = self.compile(program.result)
+        if steps:
+            def run(env, steps=tuple(steps), result=result):
+                for name, fn in steps:
+                    env[name] = fn(env)
+                return result(env)
+        else:
+            run = result
+        # As a decorator, errstate is entered on every call (and per thread).
+        run = np.errstate(all="ignore")(run)
+        return _Compiled(run, kind, frozenset(program.input_names()), self.n_nodes, self.empty_error)
+
+
+def _join(*kinds: Kind) -> Kind:
+    return "vector" if "vector" in kinds else "scalar"
+
+
+def _compiled(program: Program) -> _Compiled:
+    """The compiled form of `program`, built on first use; raises _KindError."""
+    compiled = program._compiled
+    if compiled is None:
+        compiled = _Compiler(program.arity).program(program)
+        object.__setattr__(program, "_compiled", compiled)
+    return compiled
+
+
+# --------------------------------------------------------------------------
+# Evaluator
+# --------------------------------------------------------------------------
 
 def _coerce_input(name: str, kind: Kind, raw, limits: EvalLimits):
     if isinstance(raw, Value):
@@ -483,134 +651,55 @@ def _coerce_input(name: str, kind: Kind, raw, limits: EvalLimits):
     return arr
 
 
-def _is_vec(x) -> bool:
-    return isinstance(x, np.ndarray) and x.ndim == 1
-
-
-def _check_lengths(op: str, *vals) -> None:
-    lengths = {v.shape[0] for v in vals if _is_vec(v)}
-    if len(lengths) > 1:
-        raise EvalError("length-mismatch", f"{op}: vector lengths differ ({sorted(lengths)})")
-
-
-def _as_result(x):
-    if isinstance(x, np.ndarray) and x.ndim == 0:
-        return _Scalar(x)
-    return x
-
-
-class _Evaluator:
-    __slots__ = ("env", "limits", "visited")
-
-    def __init__(self, env: dict, limits: EvalLimits):
-        self.env = env
-        self.limits = limits
-        self.visited = 0
-
-    def eval(self, e: Expr):
-        self.visited += 1
-        if self.visited > self.limits.max_nodes_visited:
-            raise EvalError("limit-exceeded", f"node-visit budget {self.limits.max_nodes_visited} exhausted")
-        if isinstance(e, Const):
-            return _Scalar(e.value)
-        if isinstance(e, Name):
-            return self.env[e.ident]
-        if isinstance(e, Unary):
-            return _as_result(np.negative(self.eval(e.operand)))
-        if isinstance(e, Binary):
-            left = self.eval(e.left)
-            right = self.eval(e.right)
-            _check_lengths(f"operator {e.op!r}", left, right)
-            if e.op == "+":
-                return _as_result(np.add(left, right))
-            if e.op == "-":
-                return _as_result(np.subtract(left, right))
-            if e.op == "*":
-                return _as_result(np.multiply(left, right))
-            if e.op == "/":
-                return _as_result(np.divide(left, right))
-            if e.op == "<":
-                mask = np.less(left, right)
-            elif e.op == "<=":
-                mask = np.less_equal(left, right)
-            elif e.op == ">":
-                mask = np.greater(left, right)
-            elif e.op == ">=":
-                mask = np.greater_equal(left, right)
-            elif e.op == "==":
-                mask = np.equal(left, right)
-            else:
-                mask = np.not_equal(left, right)
-            if isinstance(mask, np.ndarray) and mask.ndim > 0:
-                return mask.astype(np.float64)
-            return _Scalar(bool(mask))
-        if isinstance(e, Call):
-            args = [self.eval(a) for a in e.args]
-            _check_lengths(f"{e.func}()", *args)
-            fn = _ELEMENTWISE_IMPL[e.func]
-            return _as_result(fn(*args))
-        if isinstance(e, Where):
-            cond = self.eval(e.cond)
-            then = self.eval(e.then)
-            other = self.eval(e.other)
-            _check_lengths("where()", cond, then, other)
-            out = np.where(np.not_equal(cond, 0.0), then, other)
-            return _as_result(out)
-        if isinstance(e, Reduce):
-            arg = self.eval(e.arg)
-            if not _is_vec(arg):
-                raise EvalError("kind-mismatch", f"{e.func}() expects a vector argument")
-            if arg.shape[0] == 0 and e.func in ("minval", "maxval"):
-                raise EvalError("length-mismatch", f"{e.func}() of an empty vector")
-            return _REDUCTION_IMPL[e.func](arg)
-        raise TypeError(f"not an Expr: {e!r}")
-
-
-_ELEMENTWISE_IMPL = {
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "log": np.log,
-    "exp": np.exp,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "min": np.minimum,
-    "max": np.maximum,
-    "pow": np.power,
-}
-
-_REDUCTION_IMPL = {
-    "sum": lambda v: _Scalar(np.sum(v)),
-    "mean": lambda v: _Scalar(np.mean(v)) if v.shape[0] else _Scalar(np.nan),
-    "minval": lambda v: _Scalar(np.min(v)),
-    "maxval": lambda v: _Scalar(np.max(v)),
-    "len": lambda v: _Scalar(v.shape[0]),
-}
-
 def evaluate(program: Program, inputs: Mapping[str, object], limits: EvalLimits | None = None) -> Value:
     """Evaluate `program` on `inputs` (floats, sequences, arrays or Values).
 
     Pure and deterministic: identical arguments give bitwise-identical
-    results.  Raises EvalError on missing/mismatched inputs, vector length
-    conflicts or an exceeded node/vector budget; never raises on non-finite
-    arithmetic, which follows IEEE semantics instead.
+    results, and a vector result has the length of the vector inputs.
+    Raises EvalError on missing/mismatched inputs, vector inputs of
+    different lengths, minval/maxval of empty vectors or an exceeded
+    node/vector budget; never raises on non-finite arithmetic, which follows
+    IEEE semantics instead.
     """
     limits = limits or DEFAULT_LIMITS
-    env: dict[str, object] = {}
-    declared = dict(program.arity)
+    compiled = program._compiled
+    if compiled is None:  # a Program built without parse()
+        try:
+            compiled = _compiled(program)
+        except _KindError as e:
+            raise EvalError("kind-mismatch", e.message) from None
     for name in inputs:
-        if name not in declared:
+        if name not in compiled.input_names:
             raise EvalError("kind-mismatch", f"unexpected input {name!r} (not declared)")
-    for name, kind in declared.items():
-        if name not in inputs:
-            raise EvalError("missing-input", f"missing input {name!r}")
-        env[name] = _coerce_input(name, kind, inputs[name], limits)
-
-    ev = _Evaluator(env, limits)
-    with np.errstate(all="ignore"):
-        for name, expr in program.bindings:
-            env[name] = ev.eval(expr)
-        out = ev.eval(program.result)
-    if _is_vec(out):
+    env: dict[str, object] = {}
+    length, first = -1, ""
+    for name, kind in program.arity:
+        try:
+            raw = inputs[name]
+        except KeyError:
+            raise EvalError("missing-input", f"missing input {name!r}") from None
+        if kind == "vector":
+            # exact float64 1-d arrays pass as they are; anything else is coerced
+            if (type(raw) is not np.ndarray or raw.dtype is not _FLOAT64 or raw.ndim != 1
+                    or raw.shape[0] > limits.max_vector_length):
+                raw = _coerce_input(name, kind, raw, limits)
+            if raw.shape[0] != length:
+                if length >= 0:
+                    raise EvalError("length-mismatch", f"vector inputs differ in length:"
+                                    f" {first!r} has {length}, {name!r} has {raw.shape[0]}")
+                length, first = raw.shape[0], name
+        elif type(raw) is float:
+            raw = _Scalar(raw)
+        else:
+            raw = _coerce_input(name, kind, raw, limits)
+        env[name] = raw
+    if compiled.n_nodes > limits.max_nodes_visited:
+        raise EvalError("limit-exceeded", f"program has {compiled.n_nodes} nodes; node-visit budget"
+                        f" {limits.max_nodes_visited} exhausted")
+    if length == 0 and compiled.empty_error is not None:
+        raise EvalError("length-mismatch", compiled.empty_error)
+    out = compiled.run(env)
+    if compiled.kind == "vector":
         return Value("vector", out)
     return Value("scalar", float(out))
 

@@ -94,6 +94,7 @@ def task_description(task: str) -> str:
 class ObpInstance:
     capacity: int
     items: tuple[int, ...]
+    _lower_bound: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.capacity < 2:
@@ -193,8 +194,14 @@ def obp_lower_bound(instance: ObpInstance) -> int:
     """Martello-Toth L2 bound, maximized over item-size thresholds.
 
     Always >= ceil(sum/capacity) (the threshold-0 case) and never exceeds
-    the optimal bin count.
+    the optimal bin count.  Computed once per instance.
     """
+    if instance._lower_bound is None:
+        object.__setattr__(instance, "_lower_bound", _martello_toth_l2(instance))
+    return instance._lower_bound
+
+
+def _martello_toth_l2(instance: ObpInstance) -> int:
     c = instance.capacity
     sizes = sorted(instance.items)
     n = len(sizes)
@@ -239,14 +246,17 @@ def pack_online(instance: ObpInstance, program: Program,
     """
     cap = instance.capacity
     n = len(instance.items)
-    remaining = np.empty(n, dtype=np.int64)  # per open bin
+    # Per open bin; float64 so the program inputs need no conversion.  Loads
+    # are integers <= capacity, so every value stays exact.
+    remaining = np.empty(n, dtype=np.float64)
+    bin_index = np.arange(n, dtype=np.float64)
     n_open = 0
     for item in instance.items:
-        feasible = np.nonzero(remaining[:n_open] >= item)[0]
+        feasible = (remaining[:n_open] >= item).nonzero()[0]
         place_at = -1
         if feasible.size > 0:
-            caps = remaining[feasible].astype(np.float64)
-            idxs = feasible.astype(np.float64)
+            caps = remaining[feasible]
+            idxs = bin_index[feasible]
             try:
                 out = evaluate(program, {"item": float(item), "cap_remaining": caps, "bin_index": idxs},
                                limits)
@@ -255,12 +265,8 @@ def pack_online(instance: ObpInstance, program: Program,
             if out.kind != "vector":
                 raise CandidateFailure(
                     "priority function must return a vector over the feasible bins, got a scalar")
-            if out.data.shape[0] != feasible.size:
-                raise CandidateFailure(
-                    f"priority vector has length {out.data.shape[0]}, expected {feasible.size}"
-                    " (one entry per feasible bin)")
             prio = np.where(np.isnan(out.data), -np.inf, out.data)
-            best = int(np.argmax(prio))  # first max <=> lowest bin_index
+            best = int(prio.argmax())  # first max <=> lowest bin_index
             if prio[best] != -np.inf:
                 place_at = int(feasible[best])
         if place_at < 0:
@@ -426,10 +432,6 @@ def construct_tour(instance: TspInstance, program: Program,
         if out.kind != "vector":
             raise CandidateFailure(
                 "priority function must return a vector over the unvisited cities, got a scalar")
-        if out.data.shape[0] != u.size:
-            raise CandidateFailure(
-                f"priority vector has length {out.data.shape[0]}, expected {u.size}"
-                " (one entry per unvisited city)")
         prio = np.where(np.isnan(out.data), -np.inf, out.data)
         pick = 0 if np.all(prio == -np.inf) else int(np.argmax(prio))
         cur = unvisited.pop(pick)
@@ -512,11 +514,20 @@ def save_instance(path: str | Path, instance: ObpInstance | TspInstance) -> None
 
 
 def load_instance(path: str | Path, task: str) -> ObpInstance | TspInstance:
-    data = json.loads(Path(path).read_text())
-    if task == "obp":
-        return ObpInstance(capacity=int(data["capacity"]), items=tuple(int(x) for x in data["items"]))
-    if task == "tsp":
-        return tsp_instance_from_coords(np.asarray(data["coords"], dtype=np.float64))
+    path = Path(path)
+    data = _read_json(path, "instance file")
+    try:
+        if task == "obp":
+            return ObpInstance(capacity=int(data["capacity"]), items=tuple(int(x) for x in data["items"]))
+        if task == "tsp":
+            coords = np.asarray(data["coords"], dtype=np.float64)
+            if coords.ndim != 2 or coords.shape[1] != 2:
+                raise ValueError("coords must be a list of [x, y] pairs")
+            return tsp_instance_from_coords(coords)
+    except KeyError as e:
+        raise ValueError(f"instance file {path}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"instance file {path}: {e}") from None
     raise ValueError(f"unknown task {task!r}")
 
 
@@ -534,9 +545,31 @@ def save_suite(path: str | Path, suite: BenchmarkSuite, instance_dir: str | Path
 
 
 def load_suite(path: str | Path) -> BenchmarkSuite:
+    """Read a suite file written by save_suite.
+
+    Raises ValueError naming the file and what is wrong with it: unreadable
+    or not JSON, a missing key, or a missing or malformed instance file.
+    """
     path = Path(path)
-    data = json.loads(path.read_text())
+    data = _read_json(path, "suite file")
+    for key in ("task", "instances"):
+        if key not in data:
+            raise ValueError(f"suite file {path}: missing key {key!r}")
+    if not isinstance(data["instances"], list):
+        raise ValueError(f"suite file {path}: 'instances' must be a list of instance file paths")
     task = data["task"]
     instances = tuple(load_instance(path.parent / p, task) for p in data["instances"])
     labels = tuple(data.get("labels") or (f"inst{i}" for i in range(len(instances))))
     return BenchmarkSuite(task=task, instances=instances, labels=labels)
+
+
+def _read_json(path: Path, what: str) -> dict:
+    try:
+        data = json.loads(path.read_text())
+    except OSError as e:
+        raise ValueError(f"cannot read {what} {path}: {e.strerror or e}") from None
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{what} {path} is not valid JSON: {e}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    return data

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from cdeoh.dsl import Binary, Call, Const, EvalError, Name, Reduce, Unary, Value, Where
+
 
 def exhaustive_bin_packing(items, capacity: int) -> int:
     """Exact optimal bin count by branch and bound; intended for <= 10 items."""
@@ -118,3 +122,90 @@ def nearest_neighbor_cycle_length(dist, start: int = 0) -> float:
 def top_n_by_fitness(candidates, n: int):
     """Pure fitness ranking with ties to the lowest id."""
     return sorted(candidates, key=lambda c: (-c.fitness, c.id))[:n]
+
+
+# ---------------------------------------------------------------- expression language
+
+def reference_evaluate(program, inputs):
+    """Tree-walking interpreter of a cdeoh.dsl Program: the differential oracle
+    of the compiled evaluator.
+
+    Walks the tree node by node, checks the kinds and vector lengths of every
+    operand where it is used, and raises EvalError with the same kinds as
+    dsl.evaluate.  `inputs` maps every declared input to a float (scalar) or
+    a sequence of floats (vector); no limits are applied.
+    """
+    def is_vec(x):
+        return isinstance(x, np.ndarray) and x.ndim == 1
+
+    def as_result(x):
+        return np.float64(x) if isinstance(x, np.ndarray) and x.ndim == 0 else x
+
+    def check_lengths(op, *vals):
+        lengths = {v.shape[0] for v in vals if is_vec(v)}
+        if len(lengths) > 1:
+            raise EvalError("length-mismatch", f"{op}: vector lengths differ ({sorted(lengths)})")
+
+    arith = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+    cmp = {"<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+           "==": np.equal, "!=": np.not_equal}
+    elementwise = {"abs": np.abs, "sqrt": np.sqrt, "log": np.log, "exp": np.exp,
+                   "floor": np.floor, "ceil": np.ceil,
+                   "min": np.minimum, "max": np.maximum, "pow": np.power}
+    reductions = {
+        "sum": lambda v: np.float64(np.sum(v)),
+        "mean": lambda v: np.float64(np.mean(v)) if v.shape[0] else np.float64(np.nan),
+        "minval": lambda v: np.float64(np.min(v)),
+        "maxval": lambda v: np.float64(np.max(v)),
+        "len": lambda v: np.float64(v.shape[0]),
+    }
+
+    env = {}
+    for name, kind in program.arity:
+        if name not in inputs:
+            raise EvalError("missing-input", f"missing input {name!r}")
+        if kind == "scalar":
+            env[name] = np.float64(inputs[name])
+        else:
+            env[name] = np.asarray(inputs[name], dtype=np.float64)
+
+    def ev(e):
+        if isinstance(e, Const):
+            return np.float64(e.value)
+        if isinstance(e, Name):
+            return env[e.ident]
+        if isinstance(e, Unary):
+            return as_result(np.negative(ev(e.operand)))
+        if isinstance(e, Binary):
+            left, right = ev(e.left), ev(e.right)
+            check_lengths(f"operator {e.op!r}", left, right)
+            if e.op in arith:
+                return as_result(arith[e.op](left, right))
+            mask = cmp[e.op](left, right)
+            if isinstance(mask, np.ndarray) and mask.ndim > 0:
+                return mask.astype(np.float64)
+            return np.float64(bool(mask))
+        if isinstance(e, Call):
+            args = [ev(a) for a in e.args]
+            check_lengths(f"{e.func}()", *args)
+            return as_result(elementwise[e.func](*args))
+        if isinstance(e, Where):
+            cond, then, other = ev(e.cond), ev(e.then), ev(e.other)
+            check_lengths("where()", cond, then, other)
+            return as_result(np.where(np.not_equal(cond, 0.0), then, other))
+        if isinstance(e, Reduce):
+            arg = ev(e.arg)
+            if not is_vec(arg):
+                raise EvalError("kind-mismatch", f"{e.func}() expects a vector argument")
+            if arg.shape[0] == 0 and e.func in ("minval", "maxval"):
+                raise EvalError("length-mismatch", f"{e.func}() of an empty vector")
+            return reductions[e.func](arg)
+        raise TypeError(f"not an Expr: {e!r}")
+
+    with np.errstate(all="ignore"):
+        for name, expr in program.bindings:
+            env[name] = ev(expr)
+        out = ev(program.result)
+    if is_vec(out):
+        return Value("vector", out)
+    return Value("scalar", float(out))

@@ -95,9 +95,10 @@ def test_config_relative_transcript_resolved(tmp_path):
 
 # ---------------------------------------------------------------- run
 
-def test_cmd_run_writes_all_artifacts(tmp_path):
+def test_cmd_run_writes_all_artifacts(tmp_path, capsys):
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
     assert main(["run", str(cfg_path)]) == 0
+    assert "best fitness: 0.000000 (gap 0.000000%)" in capsys.readouterr().out
     run_dir = single_run_dir(tmp_path)
     for name in ("config.json", "events.jsonl", "best.json", "summary.csv",
                  "transcript.jsonl", "population_gen000.json", "population_gen003.json"):
@@ -273,6 +274,28 @@ def test_cmd_evaluate_suite_file(tmp_path, capsys):
     rc = main(["evaluate", str(heuristic), "--suite-file", str(tmp_path / "suite.json")])
     assert rc == 0
     assert "30C50" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
+    heuristic = tmp_path / "bf.txt"
+    heuristic.write_text(problems.BEST_FIT_PROGRAM)
+    args = [str(heuristic)] if command == "evaluate" else []
+    no_task = tmp_path / "no_task.json"
+    no_task.write_text(json.dumps({"instances": []}))
+    missing_instance = tmp_path / "missing_instance.json"
+    missing_instance.write_text(json.dumps({"task": "obp", "instances": ["gone.json"]}))
+    (tmp_path / "flat.json").write_text(json.dumps({"coords": [0.1, 0.2, 0.3]}))
+    bad_coords = tmp_path / "bad_coords.json"
+    bad_coords.write_text(json.dumps({"task": "tsp", "instances": ["flat.json"]}))
+    for suite_file, named in ((no_task, (str(no_task), "'task'")),
+                              (missing_instance, (str(tmp_path / "gone.json"),)),
+                              (bad_coords, (str(tmp_path / "flat.json"), "coords"))):
+        assert main([command, *args, "--suite-file", str(suite_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        for text in named:
+            assert text in err
 
 
 # ---------------------------------------------------------------- bench
