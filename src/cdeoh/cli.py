@@ -236,6 +236,22 @@ def _fresh_run_dir(output_dir: Path) -> Path:
     return path
 
 
+def _write_results(run_dir: Path, engine: EvolutionEngine) -> None:
+    """Population snapshots of every completed generation, best.json when a
+    candidate exists, and summary.csv from the events written so far."""
+    for gen, population in enumerate(engine.populations):
+        snapshot = [c.__dict__ for c in population.members]
+        (run_dir / f"population_gen{gen:03d}.json").write_text(
+            json.dumps(snapshot, indent=2, sort_keys=True))
+    best = engine.best
+    if best is not None:
+        (run_dir / "best.json").write_text(json.dumps(
+            {"thought": best.thought, "code": best.code,
+             "category": best.category, "fitness": best.fitness},
+            indent=2, sort_keys=True))
+    write_summary_csv(run_dir / "summary.csv", read_events(run_dir / "events.jsonl"))
+
+
 def cmd_run(config_path: str) -> int:
     try:
         cfg = load_run_config(config_path)
@@ -248,25 +264,21 @@ def cmd_run(config_path: str) -> int:
     if cfg.provider.provider == "scripted":
         shutil.copy(cfg.provider.transcript_path, run_dir / "transcript.jsonl")
 
+    engine = None
     try:
         with (run_dir / "events.jsonl").open("w") as fh:
             provider = llm.make_provider(cfg.provider)
             engine = EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit)
             best, stats = engine.run()
     except (BudgetExhaustedError, ProviderError, ValueError) as e:
+        # An aborted run still leaves what it evaluated before the error.
+        if engine is not None:
+            _write_results(run_dir, engine)
+            print(f"run dir: {run_dir}")
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    for gen, population in enumerate(engine.populations):
-        snapshot = [c.__dict__ for c in population.members]
-        (run_dir / f"population_gen{gen:03d}.json").write_text(
-            json.dumps(snapshot, indent=2, sort_keys=True))
-    (run_dir / "best.json").write_text(json.dumps(
-        {"thought": best.thought, "code": best.code,
-         "category": best.category, "fitness": best.fitness},
-        indent=2, sort_keys=True))
-    write_summary_csv(run_dir / "summary.csv", read_events(run_dir / "events.jsonl"))
-
+    _write_results(run_dir, engine)
     print(f"run dir: {run_dir}")
     print(f"samples used: {sum(s.samples_used for s in stats)}")
     fitness, gap = best.fitness + 0.0, -best.fitness + 0.0  # + 0.0 turns -0.0 into 0.0

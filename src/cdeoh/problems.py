@@ -109,7 +109,7 @@ class ObpInstance:
 class TspInstance:
     coords: np.ndarray  # (n, 2) in [0, 1]^2
     dist: np.ndarray    # (n, n) symmetric Euclidean distances
-    _reference: float | None = field(default=None, repr=False)
+    _reference: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
@@ -409,21 +409,25 @@ def construct_tour(instance: TspInstance, program: Program,
     """Build a tour by the candidate's priorities; always a permutation."""
     d = instance.dist
     n = instance.n_cities
-    unvisited = list(range(1, n))
+    # The unvisited cities in increasing order, u[:m], and their distances
+    # among each other, sub[:m, :m] == d[np.ix_(u[:m], u[:m])].  Picking a
+    # city shifts the later rows, then the later columns, up by one, so the
+    # order is kept and each row of the live block sums exactly as a fresh
+    # gather would.
+    u = np.arange(1, n, dtype=np.int64)
+    sub = d[1:, 1:].copy()
     tour = [0]
     cur = 0
-    while unvisited:
-        u = np.asarray(unvisited, dtype=np.int64)
-        sub = d[np.ix_(u, u)]
-        if u.size > 1:
-            mean_remaining = sub.sum(axis=1) / (u.size - 1)
+    for m in range(n - 1, 0, -1):
+        if m > 1:
+            mean_remaining = sub[:m, :m].sum(axis=1) / (m - 1)
         else:
             mean_remaining = np.zeros(1)
         inputs = {
-            "dist_to_current": d[cur, u],
-            "dist_to_start": d[0, u],
+            "dist_to_current": d[cur, u[:m]],
+            "dist_to_start": d[0, u[:m]],
             "mean_dist_remaining": mean_remaining,
-            "visited_fraction": (n - u.size) / n,
+            "visited_fraction": (n - m) / n,
         }
         try:
             out = evaluate(program, inputs, limits)
@@ -433,9 +437,12 @@ def construct_tour(instance: TspInstance, program: Program,
             raise CandidateFailure(
                 "priority function must return a vector over the unvisited cities, got a scalar")
         prio = np.where(np.isnan(out.data), -np.inf, out.data)
-        pick = 0 if np.all(prio == -np.inf) else int(np.argmax(prio))
-        cur = unvisited.pop(pick)
+        pick = int(prio.argmax())  # first max <=> lowest city index; all -inf picks 0
+        cur = int(u[pick])
         tour.append(cur)
+        u[pick:m - 1] = u[pick + 1:m]
+        sub[pick:m - 1, :m] = sub[pick + 1:m, :m]
+        sub[:m - 1, pick:m - 1] = sub[:m - 1, pick + 1:m]
     assert sorted(tour) == list(range(n)), "tour is not a permutation"
     return tour
 

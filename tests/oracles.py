@@ -11,7 +11,8 @@ import math
 
 import numpy as np
 
-from cdeoh.dsl import Binary, Call, Const, EvalError, Name, Reduce, Unary, Value, Where
+from cdeoh.dsl import Binary, Call, Const, EvalError, Name, Reduce, Unary, Value, Where, evaluate
+from cdeoh.problems import CandidateFailure
 
 
 def exhaustive_bin_packing(items, capacity: int) -> int:
@@ -117,6 +118,45 @@ def nearest_neighbor_cycle_length(dist, start: int = 0) -> float:
         unvisited.remove(best)
         cur = best
     return total + dist[cur][start]
+
+
+def reference_construct_tour(instance, program, limits=None) -> list[int]:
+    """Constructive tour that gathers the unvisited submatrix afresh at every
+    step: the differential oracle of problems.construct_tour.
+
+    Same inputs, tie rule and failure messages; `mean_dist_remaining` is the
+    row mean of d[np.ix_(u, u)] over the other unvisited cities.
+    """
+    d = instance.dist
+    n = instance.n_cities
+    unvisited = list(range(1, n))
+    tour = [0]
+    cur = 0
+    while unvisited:
+        u = np.asarray(unvisited, dtype=np.int64)
+        sub = d[np.ix_(u, u)]
+        if u.size > 1:
+            mean_remaining = sub.sum(axis=1) / (u.size - 1)
+        else:
+            mean_remaining = np.zeros(1)
+        inputs = {
+            "dist_to_current": d[cur, u],
+            "dist_to_start": d[0, u],
+            "mean_dist_remaining": mean_remaining,
+            "visited_fraction": (n - u.size) / n,
+        }
+        try:
+            out = evaluate(program, inputs, limits)
+        except EvalError as e:
+            raise CandidateFailure(str(e)) from e
+        if out.kind != "vector":
+            raise CandidateFailure(
+                "priority function must return a vector over the unvisited cities, got a scalar")
+        prio = np.where(np.isnan(out.data), -np.inf, out.data)
+        pick = 0 if np.all(prio == -np.inf) else int(np.argmax(prio))
+        cur = unvisited.pop(pick)
+        tour.append(cur)
+    return tour
 
 
 def top_n_by_fitness(candidates, n: int):

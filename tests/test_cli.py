@@ -7,6 +7,7 @@ import pytest
 from cdeoh import problems
 from cdeoh.cli import (
     ConfigError,
+    best_candidate_from_events,
     load_run_config,
     main,
     read_events,
@@ -14,7 +15,7 @@ from cdeoh.cli import (
     summary_rows_from_events,
 )
 
-from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder
+from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder, ladder_response
 from test_evolution import three_gen_transcript
 
 
@@ -126,6 +127,33 @@ def test_cmd_run_budget_exhausted_is_nonzero(tmp_path):
     cfg_path = write_run_config(tmp_path, tb, evolution={"max_samples": 3})
     (tmp_path / "transcript.jsonl").write_text("")
     assert main(["run", str(cfg_path)]) == 1
+
+
+def test_cmd_run_aborted_by_provider_error_writes_what_exists(tmp_path, capsys):
+    # The initial population is evaluated and labelled, then the first
+    # refinement call finds no transcript entry and ends the run.
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [ladder_response(3), ladder_response(4)])
+    tb.add_many("category-induction", ["cat-a", "cat-b"])
+    cfg_path = write_run_config(tmp_path, tb)
+    assert main(["run", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: provider error [transcript-miss]")
+    assert "kind='refinement' index=0" in err and len(err.splitlines()) == 1
+    run_dir = single_run_dir(tmp_path)
+    assert f"run dir: {run_dir}" in out
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "best.json", "config.json", "events.jsonl", "population_gen000.json",
+        "summary.csv", "transcript.jsonl"]
+    events = read_events(run_dir / "events.jsonl")
+    population = json.loads((run_dir / "population_gen000.json").read_text())
+    assert sorted(c["id"] for c in population) == [1, 2]
+    want = best_candidate_from_events(events)
+    best = json.loads((run_dir / "best.json").read_text())
+    assert best == {k: want[k] for k in ("thought", "code", "category", "fitness")}
+    rows = list(csv.DictReader((run_dir / "summary.csv").open()))
+    assert [r["generation"] for r in rows] == ["0"]
+    assert rows[0]["best_fitness"] == repr(float(want["fitness"]))
 
 
 # ---------------------------------------------------------------- replay

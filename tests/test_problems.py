@@ -12,6 +12,7 @@ from cdeoh.problems import (
     BenchmarkSuite,
     CandidateFailure,
     ObpInstance,
+    TspInstance,
     best_fit_bin_count,
     construct_tour,
     evaluate_candidate,
@@ -35,6 +36,7 @@ from oracles import (
     exhaustive_bin_packing,
     held_karp_cycle,
     nearest_neighbor_cycle_length,
+    reference_construct_tour,
     simple_best_fit,
     simple_first_fit,
 )
@@ -291,6 +293,16 @@ def test_tsp_reference_bounds_and_determinism():
         assert tsp_reference(fresh) == ref
 
 
+def test_tsp_reference_cannot_be_passed_in():
+    inst = gen_tsp(3, 8)
+    with pytest.raises(TypeError):
+        TspInstance(inst.coords, inst.dist, 1.0)
+    with pytest.raises(TypeError):
+        TspInstance(coords=inst.coords, dist=inst.dist, _reference=1.0)
+    fresh = TspInstance(inst.coords, inst.dist)
+    assert tsp_reference(fresh) == tsp_reference(inst) != 1.0
+
+
 def test_two_opt_never_worsens():
     for seed in (1, 2):
         inst = gen_tsp(seed, 40)
@@ -304,6 +316,99 @@ def test_tsp_wrong_shape():
     inst = gen_tsp(1, 10)
     with pytest.raises(CandidateFailure):
         simulate_tsp(inst, compile_tsp("return visited_fraction"))
+
+
+# Programs for the differential property: nearest neighbour, users of
+# mean_dist_remaining, where/threshold rules, constant priorities (all
+# ties), partly and wholly NaN priorities, quasi-random picks and a scalar
+# result (a CandidateFailure at the first step).
+TOUR_PROGRAMS = (
+    problems.NEAREST_NEIGHBOR_PROGRAM,
+    "return dist_to_current",
+    "return 0 - dist_to_current - mean_dist_remaining",
+    "return mean_dist_remaining * visited_fraction - dist_to_current",
+    "return mean_dist_remaining - maxval(mean_dist_remaining) - dist_to_start",
+    "return where((dist_to_current < mean_dist_remaining), 0 - dist_to_current, "
+    "0 - 2 * dist_to_current)",
+    "return where((visited_fraction > 0.5), 0 - dist_to_start, 0 - dist_to_current)",
+    "return 0 * dist_to_current",
+    "return dist_to_current * 0 + 1",
+    "return log(dist_to_current - mean_dist_remaining)",
+    "return log(0 - dist_to_current)",
+    "return dist_to_current * 1000 - floor(dist_to_current * 1000)",
+    "return visited_fraction",
+)
+
+
+def _recorded(module, build, instance, program):
+    """Run `build` with `module.evaluate` wrapped so that every step's inputs
+    are recorded; return (tour or CandidateFailure text, inputs per step)."""
+    steps = []
+    real = module.evaluate
+
+    def recording(prog, inputs, limits=None):
+        steps.append({k: np.array(v, copy=True) for k, v in inputs.items()})
+        return real(prog, inputs, limits)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "evaluate", recording)
+        try:
+            outcome = build(instance, program)
+        except CandidateFailure as e:
+            outcome = f"CandidateFailure: {e}"
+    return outcome, steps
+
+
+def assert_matches_reference_tour(instance, program):
+    import oracles
+    got, got_steps = _recorded(problems, construct_tour, instance, program)
+    want, want_steps = _recorded(oracles, reference_construct_tour, instance, program)
+    assert got == want
+    assert len(got_steps) == len(want_steps)
+    for g, w in zip(got_steps, want_steps):
+        assert g.keys() == w.keys()
+        for name in w:
+            assert g[name].dtype == w[name].dtype
+            assert g[name].tobytes() == w[name].tobytes(), name
+    return got, got_steps
+
+
+@given(
+    n=st.integers(3, 60),
+    mode=st.sampled_from(["uniform", "gaussian-mixture"]),
+    seed=st.integers(0, 10_000),
+    src=st.sampled_from(TOUR_PROGRAMS),
+)
+@settings(max_examples=150, deadline=None)
+def test_construct_tour_matches_reference(n, mode, seed, src):
+    assert_matches_reference_tour(gen_tsp(seed, n, mode), compile_tsp(src))
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_construct_tour_matches_reference_on_large_instances(n):
+    prog = compile_tsp("return dist_to_current * 1000 - floor(dist_to_current * 1000)")
+    tour, _ = assert_matches_reference_tour(gen_tsp(n, n), prog)
+    assert sorted(tour) == list(range(n))
+
+
+@pytest.mark.parametrize("src", ["return 0 - dist_to_current", "return dist_to_current"])
+def test_construct_tour_tail_of_two_one_zero_cities(src):
+    # n = 3: the last two steps see 2 and then 1 unvisited city; the loop
+    # ends with 0 left.  With two left, each mean is their distance; with
+    # one left it is 0.
+    inst = gen_tsp(5, 3)
+    tour, steps = assert_matches_reference_tour(inst, compile_tsp(src))
+    assert [s["mean_dist_remaining"].size for s in steps] == [2, 1]
+    assert steps[0]["mean_dist_remaining"].tolist() == [inst.dist[1, 2]] * 2
+    assert steps[1]["mean_dist_remaining"].tolist() == [0.0]
+    assert steps[1]["visited_fraction"] == 2 / 3
+    assert tour[0] == 0 and sorted(tour) == [0, 1, 2]
+
+
+def test_construct_tour_all_ties_keeps_city_order():
+    inst = gen_tsp(1, 12)
+    assert construct_tour(inst, compile_tsp("return 0 * dist_to_current")) == list(range(12))
+    assert construct_tour(inst, compile_tsp("return log(0 - dist_to_current)")) == list(range(12))
 
 
 # ---------------------------------------------------------------- aggregation
