@@ -64,6 +64,18 @@ def _section(data: dict, name: str, allowed: set[str]) -> dict:
     return dict(section)
 
 
+def _check_suite_value(key: str, value) -> None:
+    if key in ("sizes", "capacities", "seeds"):
+        ok = isinstance(value, list) and value and all(type(x) is int for x in value)
+        want = "a non-empty list of integers"
+    elif key == "mode":
+        ok, want = isinstance(value, str), "a string"
+    else:  # weibull_shape, weibull_scale
+        ok, want = type(value) in (int, float), "a number"
+    if not ok:
+        raise ConfigError(f"suite.{key} must be {want}")
+
+
 @dataclass
 class RunConfig:
     task: str
@@ -110,6 +122,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"task must be one of {problems.TASKS}, got {task!r}")
 
     suite_cfg = _section(data, "suite", _SUITE_KEYS_OBP if task == "obp" else _SUITE_KEYS_TSP)
+    for key, value in suite_cfg.items():
+        _check_suite_value(key, value)
 
     evo_cfg = _section(data, "evolution", _EVOLUTION_KEYS)
     if "lambda" in evo_cfg:
@@ -256,6 +270,7 @@ def cmd_run(config_path: str) -> int:
     try:
         cfg = load_run_config(config_path)
         suite = cfg.build_suite()
+        provider = llm.make_provider(cfg.provider)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -267,7 +282,6 @@ def cmd_run(config_path: str) -> int:
     engine = None
     try:
         with (run_dir / "events.jsonl").open("w") as fh:
-            provider = llm.make_provider(cfg.provider)
             engine = EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit)
             best, stats = engine.run()
     except (BudgetExhaustedError, ProviderError, ValueError) as e:
@@ -418,7 +432,7 @@ def cmd_replay(run_dir_arg: str) -> int:
         return 2
     try:
         replayed = _replay_events(run_dir)
-    except (ConfigError, BudgetExhaustedError, ProviderError) as e:
+    except (ConfigError, BudgetExhaustedError, ProviderError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     recorded = strip_timestamps(read_events(events_path))
@@ -539,9 +553,6 @@ def main(argv=None) -> int:
     if args.command == "evaluate":
         return cmd_evaluate(args)
     if args.command == "bench":
-        if not args.task and not args.suite_file:
-            print("error: --task or --suite-file is required", file=sys.stderr)
-            return 2
         return cmd_bench(args)
     if args.command == "replay":
         return cmd_replay(args.run_dir)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, Sequence, Union
+from typing import Callable, Literal, Mapping, Union
 
 import numpy as np
 
@@ -129,26 +129,9 @@ class Value:
     kind: Kind
     data: float | np.ndarray
 
-    @staticmethod
-    def scalar(x: float) -> "Value":
-        return Value("scalar", float(x))
 
-    @staticmethod
-    def vector(xs: Sequence[float] | np.ndarray) -> "Value":
-        return Value("vector", np.asarray(xs, dtype=np.float64))
-
-
-@dataclass(frozen=True)
-class EvalLimits:
-    max_nodes_visited: int = 1_000_000
-    max_vector_length: int = 100_000
-
-    def __post_init__(self):
-        if self.max_nodes_visited <= 0 or self.max_vector_length <= 0:
-            raise ValueError("EvalLimits fields must be strictly positive")
-
-
-DEFAULT_LIMITS = EvalLimits()
+MAX_PROGRAM_NODES = 1_000_000   # node visits per evaluate call: each node once
+MAX_VECTOR_LENGTH = 100_000     # length of any one vector input
 
 
 # --------------------------------------------------------------------------
@@ -629,11 +612,7 @@ def _compiled(program: Program) -> _Compiled:
 # Evaluator
 # --------------------------------------------------------------------------
 
-def _coerce_input(name: str, kind: Kind, raw, limits: EvalLimits):
-    if isinstance(raw, Value):
-        if raw.kind != kind:
-            raise EvalError("kind-mismatch", f"input {name!r}: expected {kind}, got {raw.kind}")
-        raw = raw.data
+def _coerce_input(name: str, kind: Kind, raw):
     if kind == "scalar":
         if isinstance(raw, np.ndarray) and raw.ndim > 0:
             raise EvalError("kind-mismatch", f"input {name!r}: expected scalar, got vector")
@@ -643,25 +622,24 @@ def _coerce_input(name: str, kind: Kind, raw, limits: EvalLimits):
     arr = np.asarray(raw, dtype=np.float64)
     if arr.ndim != 1:
         raise EvalError("kind-mismatch", f"input {name!r}: expected a 1-d vector")
-    if arr.shape[0] > limits.max_vector_length:
+    if arr.shape[0] > MAX_VECTOR_LENGTH:
         raise EvalError(
             "limit-exceeded",
-            f"input {name!r}: length {arr.shape[0]} exceeds max_vector_length {limits.max_vector_length}",
+            f"input {name!r}: length {arr.shape[0]} exceeds max_vector_length {MAX_VECTOR_LENGTH}",
         )
     return arr
 
 
-def evaluate(program: Program, inputs: Mapping[str, object], limits: EvalLimits | None = None) -> Value:
-    """Evaluate `program` on `inputs` (floats, sequences, arrays or Values).
+def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
+    """Evaluate `program` on `inputs` (floats, sequences or arrays).
 
     Pure and deterministic: identical arguments give bitwise-identical
     results, and a vector result has the length of the vector inputs.
     Raises EvalError on missing/mismatched inputs, vector inputs of
     different lengths, minval/maxval of empty vectors or an exceeded
-    node/vector budget; never raises on non-finite arithmetic, which follows
-    IEEE semantics instead.
+    node/vector budget (MAX_PROGRAM_NODES, MAX_VECTOR_LENGTH); never raises
+    on non-finite arithmetic, which follows IEEE semantics instead.
     """
-    limits = limits or DEFAULT_LIMITS
     compiled = program._compiled
     if compiled is None:  # a Program built without parse()
         try:
@@ -681,8 +659,8 @@ def evaluate(program: Program, inputs: Mapping[str, object], limits: EvalLimits 
         if kind == "vector":
             # exact float64 1-d arrays pass as they are; anything else is coerced
             if (type(raw) is not np.ndarray or raw.dtype is not _FLOAT64 or raw.ndim != 1
-                    or raw.shape[0] > limits.max_vector_length):
-                raw = _coerce_input(name, kind, raw, limits)
+                    or raw.shape[0] > MAX_VECTOR_LENGTH):
+                raw = _coerce_input(name, kind, raw)
             if raw.shape[0] != length:
                 if length >= 0:
                     raise EvalError("length-mismatch", f"vector inputs differ in length:"
@@ -691,11 +669,11 @@ def evaluate(program: Program, inputs: Mapping[str, object], limits: EvalLimits 
         elif type(raw) is float:
             raw = _Scalar(raw)
         else:
-            raw = _coerce_input(name, kind, raw, limits)
+            raw = _coerce_input(name, kind, raw)
         env[name] = raw
-    if compiled.n_nodes > limits.max_nodes_visited:
+    if compiled.n_nodes > MAX_PROGRAM_NODES:
         raise EvalError("limit-exceeded", f"program has {compiled.n_nodes} nodes; node-visit budget"
-                        f" {limits.max_nodes_visited} exhausted")
+                        f" {MAX_PROGRAM_NODES} exhausted")
     if length == 0 and compiled.empty_error is not None:
         raise EvalError("length-mismatch", compiled.empty_error)
     out = compiled.run(env)

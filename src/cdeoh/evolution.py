@@ -72,9 +72,6 @@ class Population:
     def ranked(members: Iterable[Candidate], capacity: int) -> "Population":
         return Population(tuple(sorted(members, key=_rank_key)), capacity)
 
-    def best(self) -> Candidate:
-        return self.members[0]
-
 
 class CategoryPool:
     """Append-only set of discovered category labels with all-time counts."""

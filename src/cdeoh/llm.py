@@ -27,6 +27,7 @@ API_KEY_ENV = "CDEOH_API_KEY"
 BASE_URL_ENV = "CDEOH_BASE_URL"
 
 DEFAULT_MAX_PROMPT_BYTES = 65536
+MIN_PROMPT_BYTES = 256  # room for the kind header and the truncation marker
 TRUNCATION_MARKER = "...[truncated]"
 
 GENERATION_TEMPERATURE_DEFAULT = 1.0
@@ -117,6 +118,10 @@ class ProviderConfig:
                 raise ValueError("http provider requires base_url and model")
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
+        if self.max_prompt_bytes < MIN_PROMPT_BYTES:
+            raise ValueError(f"max_prompt_bytes must be >= {MIN_PROMPT_BYTES}")
+        if self.retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
 
 
 # --------------------------------------------------------------------------
@@ -294,14 +299,17 @@ class ScriptedProvider:
         self._entries: dict[tuple[str, int], str] = {}
         self._counters: dict[str, int] = {}
         path = Path(transcript_path)
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        try:
+            text = path.read_text()
+        except OSError as e:
+            raise ValueError(f"cannot read transcript {path}: {e.strerror or e}") from None
+        for lineno, line in enumerate(text.splitlines(), 1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            key = (str(obj["kind"]), int(obj["index"]))
+            key, response = _transcript_entry(line, f"{path}:{lineno}")
             if key in self._entries:
                 raise ValueError(f"{path}:{lineno}: duplicate transcript key {key}")
-            self._entries[key] = str(obj["response"])
+            self._entries[key] = response
 
     def calls_made(self, kind: str | PromptKind) -> int:
         return self._counters.get(PromptKind(kind).value, 0)
@@ -316,6 +324,23 @@ class ScriptedProvider:
             raise ProviderError(
                 "transcript-miss",
                 f"no transcript entry for kind={kind!r} index={index}") from None
+
+
+def _transcript_entry(line: str, where: str) -> tuple[tuple[str, int], str]:
+    """((kind, index), response) of one transcript line; ValueError naming `where`."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise ValueError(f"{where}: invalid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: a transcript line must be a JSON object")
+    for key, kind, want in (("kind", str, "a string"), ("index", int, "an integer"),
+                            ("response", str, "a string")):
+        if key not in obj:
+            raise ValueError(f"{where}: missing key {key!r}")
+        if type(obj[key]) is not kind:
+            raise ValueError(f"{where}: {key!r} must be {want}")
+    return (obj["kind"], obj["index"]), obj["response"]
 
 
 def write_transcript(path: str | Path, entries) -> None:

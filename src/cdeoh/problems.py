@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from cdeoh import dsl
-from cdeoh.dsl import EvalError, EvalLimits, Program, evaluate
+from cdeoh.dsl import EvalError, Program, evaluate
 
 OBP_INPUTS: Mapping[str, dsl.Kind] = {
     "item": "scalar",
@@ -108,38 +108,21 @@ class ObpInstance:
 @dataclass(eq=False)
 class TspInstance:
     coords: np.ndarray  # (n, 2) in [0, 1]^2
-    dist: np.ndarray    # (n, n) symmetric Euclidean distances
+    dist: np.ndarray = field(init=False, repr=False)  # (n, n) Euclidean distances
     _reference: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.coords = np.asarray(self.coords, dtype=np.float64)
-        self.dist = np.asarray(self.dist, dtype=np.float64)
-        n = self.coords.shape[0]
-        if n < 3:
+        if self.coords.ndim != 2 or self.coords.shape[1] != 2:
+            raise ValueError("coords must be a list of [x, y] pairs")
+        if self.coords.shape[0] < 3:
             raise ValueError("need at least 3 cities")
-        if self.dist.shape != (n, n):
-            raise ValueError("distance matrix shape mismatch")
-        if not np.array_equal(self.dist, self.dist.T):
-            raise ValueError("distance matrix must be symmetric")
-        if np.any(np.diagonal(self.dist) != 0.0):
-            raise ValueError("distance matrix diagonal must be zero")
-        expected = _distance_matrix(self.coords)
-        if np.max(np.abs(expected - self.dist)) > 1e-12:
-            raise ValueError("distance matrix does not match coordinates")
+        delta = self.coords[:, None, :] - self.coords[None, :, :]
+        self.dist = np.sqrt((delta ** 2).sum(axis=-1))
 
     @property
     def n_cities(self) -> int:
         return self.coords.shape[0]
-
-
-def _distance_matrix(coords: np.ndarray) -> np.ndarray:
-    delta = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((delta ** 2).sum(axis=-1))
-
-
-def tsp_instance_from_coords(coords: np.ndarray) -> TspInstance:
-    coords = np.asarray(coords, dtype=np.float64)
-    return TspInstance(coords=coords, dist=_distance_matrix(coords))
 
 
 @dataclass(frozen=True)
@@ -238,8 +221,7 @@ def _martello_toth_l2(instance: ObpInstance) -> int:
 # OBP online simulation
 # --------------------------------------------------------------------------
 
-def pack_online(instance: ObpInstance, program: Program,
-                limits: EvalLimits | None = None) -> list[int]:
+def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     """Run the online packing simulation; returns the final bin loads.
 
     Raises CandidateFailure on any evaluation error or wrong-shape result.
@@ -258,8 +240,7 @@ def pack_online(instance: ObpInstance, program: Program,
             caps = remaining[feasible]
             idxs = bin_index[feasible]
             try:
-                out = evaluate(program, {"item": float(item), "cap_remaining": caps, "bin_index": idxs},
-                               limits)
+                out = evaluate(program, {"item": float(item), "cap_remaining": caps, "bin_index": idxs})
             except EvalError as e:
                 raise CandidateFailure(str(e)) from e
             if out.kind != "vector":
@@ -279,9 +260,8 @@ def pack_online(instance: ObpInstance, program: Program,
     return [int(x) for x in loads]
 
 
-def simulate_obp(instance: ObpInstance, program: Program,
-                 limits: EvalLimits | None = None) -> EvalReport:
-    loads = pack_online(instance, program, limits)
+def simulate_obp(instance: ObpInstance, program: Program) -> EvalReport:
+    loads = pack_online(instance, program)
     return _make_report(len(loads), obp_lower_bound(instance))
 
 
@@ -341,7 +321,7 @@ def gen_tsp(seed: int, n_cities: int, mode: str = "uniform") -> TspInstance:
         coords = (coords - lo) / span
     else:
         raise ValueError(f"unknown mode {mode!r} (expected 'uniform' or 'gaussian-mixture')")
-    return tsp_instance_from_coords(coords)
+    return TspInstance(coords)
 
 
 def tour_length(instance: TspInstance, tour: Sequence[int]) -> float:
@@ -353,13 +333,13 @@ def tour_length(instance: TspInstance, tour: Sequence[int]) -> float:
     return float(total)
 
 
-def nearest_neighbor_tour(instance: TspInstance, start: int = 0) -> list[int]:
+def nearest_neighbor_tour(instance: TspInstance) -> list[int]:
     d = instance.dist
     n = instance.n_cities
     visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    tour = [start]
-    cur = start
+    visited[0] = True
+    tour = [0]
+    cur = 0
     for _ in range(n - 1):
         row = np.where(visited, np.inf, d[cur])
         cur = int(np.argmin(row))  # first min <=> lowest index
@@ -404,8 +384,7 @@ def tsp_reference(instance: TspInstance) -> float:
     return instance._reference
 
 
-def construct_tour(instance: TspInstance, program: Program,
-                   limits: EvalLimits | None = None) -> list[int]:
+def construct_tour(instance: TspInstance, program: Program) -> list[int]:
     """Build a tour by the candidate's priorities; always a permutation."""
     d = instance.dist
     n = instance.n_cities
@@ -430,7 +409,7 @@ def construct_tour(instance: TspInstance, program: Program,
             "visited_fraction": (n - m) / n,
         }
         try:
-            out = evaluate(program, inputs, limits)
+            out = evaluate(program, inputs)
         except EvalError as e:
             raise CandidateFailure(str(e)) from e
         if out.kind != "vector":
@@ -447,9 +426,8 @@ def construct_tour(instance: TspInstance, program: Program,
     return tour
 
 
-def simulate_tsp(instance: TspInstance, program: Program,
-                 limits: EvalLimits | None = None) -> EvalReport:
-    tour = construct_tour(instance, program, limits)
+def simulate_tsp(instance: TspInstance, program: Program) -> EvalReport:
+    tour = construct_tour(instance, program)
     return _make_report(tour_length(instance, tour), tsp_reference(instance))
 
 
@@ -460,11 +438,10 @@ NEAREST_NEIGHBOR_PROGRAM = "return 0 - dist_to_current"
 # Suites and aggregate evaluation
 # --------------------------------------------------------------------------
 
-def evaluate_candidate(suite: BenchmarkSuite, program: Program,
-                       limits: EvalLimits | None = None) -> EvalReport:
+def evaluate_candidate(suite: BenchmarkSuite, program: Program) -> EvalReport:
     """Mean gap over the suite; fails fast on the first CandidateFailure."""
     simulate = simulate_obp if suite.task == "obp" else simulate_tsp
-    reports = [simulate(inst, program, limits) for inst in suite.instances]
+    reports = [simulate(inst, program) for inst in suite.instances]
     gap = float(np.mean([r.gap_percent for r in reports]))
     return EvalReport(
         raw_metric=float(np.mean([r.raw_metric for r in reports])),
@@ -527,10 +504,7 @@ def load_instance(path: str | Path, task: str) -> ObpInstance | TspInstance:
         if task == "obp":
             return ObpInstance(capacity=int(data["capacity"]), items=tuple(int(x) for x in data["items"]))
         if task == "tsp":
-            coords = np.asarray(data["coords"], dtype=np.float64)
-            if coords.ndim != 2 or coords.shape[1] != 2:
-                raise ValueError("coords must be a list of [x, y] pairs")
-            return tsp_instance_from_coords(coords)
+            return TspInstance(data["coords"])
     except KeyError as e:
         raise ValueError(f"instance file {path}: missing key {e.args[0]!r}") from None
     except (TypeError, ValueError) as e:

@@ -120,7 +120,7 @@ def nearest_neighbor_cycle_length(dist, start: int = 0) -> float:
     return total + dist[cur][start]
 
 
-def reference_construct_tour(instance, program, limits=None) -> list[int]:
+def reference_construct_tour(instance, program) -> list[int]:
     """Constructive tour that gathers the unvisited submatrix afresh at every
     step: the differential oracle of problems.construct_tour.
 
@@ -146,7 +146,7 @@ def reference_construct_tour(instance, program, limits=None) -> list[int]:
             "visited_fraction": (n - u.size) / n,
         }
         try:
-            out = evaluate(program, inputs, limits)
+            out = evaluate(program, inputs)
         except EvalError as e:
             raise CandidateFailure(str(e)) from e
         if out.kind != "vector":

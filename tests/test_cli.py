@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from cdeoh.cli import (
 
 from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder, ladder_response
 from test_evolution import three_gen_transcript
+from test_llm import MALFORMED_TRANSCRIPT_LINES
 
 
 def write_run_config(tmp_path: Path, transcript: TranscriptBuilder, **overrides) -> Path:
@@ -67,7 +69,7 @@ def test_config_invalid_lambda_fails_before_any_provider(tmp_path):
     assert not (tmp_path / "runs").exists()
 
 
-@pytest.mark.parametrize("section", ["evolution", "provider"])
+@pytest.mark.parametrize("section", ["evolution", "provider", "suite"])
 @pytest.mark.parametrize("value", [5, "ab", [["population_size", 3]]])
 def test_config_section_must_be_an_object(tmp_path, section, value):
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
@@ -77,6 +79,36 @@ def test_config_section_must_be_an_object(tmp_path, section, value):
     with pytest.raises(ConfigError, match=f"^{section} must be an object$"):
         load_run_config(cfg_path)
     assert main(["run", str(cfg_path)]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("task, section, key, value, message", [
+    ("obp", "suite", "sizes", 5, "suite.sizes must be a non-empty list of integers"),
+    ("obp", "suite", "capacities", ["x"], "suite.capacities must be a non-empty list of integers"),
+    ("obp", "suite", "seeds", [1.5], "suite.seeds must be a non-empty list of integers"),
+    ("obp", "suite", "seeds", [], "suite.seeds must be a non-empty list of integers"),
+    ("obp", "suite", "sizes", [True], "suite.sizes must be a non-empty list of integers"),
+    ("obp", "suite", "weibull_shape", "3", "suite.weibull_shape must be a number"),
+    ("obp", "suite", "weibull_scale", None, "suite.weibull_scale must be a number"),
+    ("tsp", "suite", "mode", 1, "suite.mode must be a string"),
+    ("obp", "provider", "max_prompt_bytes", 10,
+     "invalid provider config: max_prompt_bytes must be >= 256"),
+    ("obp", "provider", "retry_backoff_s", -1,
+     "invalid provider config: retry_backoff_s must be >= 0"),
+])
+def test_config_value_that_breaks_callers_exits_2(tmp_path, capsys, task, section, key, value,
+                                                  message):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    cfg = json.loads(cfg_path.read_text())
+    cfg["task"] = task
+    if section == "suite":
+        cfg["suite"] = {"sizes": [10], "seeds": [1]}
+    cfg[section][key] = value
+    cfg_path.write_text(json.dumps(cfg))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        load_run_config(cfg_path)
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -190,6 +222,28 @@ def test_cmd_replay_missing_transcript(tmp_path):
     (run_dir / "transcript.jsonl").unlink()
     (tmp_path / "transcript.jsonl").unlink()
     assert main(["replay", str(run_dir)]) == 2
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_TRANSCRIPT_LINES)
+def test_malformed_transcript_line_is_one_line_and_exit_2(tmp_path, capsys, line, message):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    transcript = tmp_path / "transcript.jsonl"
+    good = transcript.read_text()
+    where = f"{len(good.splitlines()) + 1}: {message}"
+    transcript.write_text(good + line + "\n")
+    assert main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {transcript}:{where}") and err.count("\n") == 1, err
+    assert not (tmp_path / "runs").exists()
+
+    transcript.write_text(good)
+    assert main(["run", str(cfg_path)]) == 0
+    run_dir = single_run_dir(tmp_path)
+    (run_dir / "transcript.jsonl").write_text(good + line + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'transcript.jsonl'}:{where}") and err.count("\n") == 1, err
 
 
 def test_cmd_replay_missing_events(tmp_path):

@@ -10,7 +10,6 @@ from cdeoh.dsl import (
     Binary,
     Const,
     EvalError,
-    EvalLimits,
     Name,
     ParseError,
     Program,
@@ -96,13 +95,6 @@ def test_identifiers_are_case_sensitive():
         parse("return Item", {"item": "scalar"})
 
 
-def test_eval_limits_must_be_positive():
-    with pytest.raises(ValueError):
-        EvalLimits(max_nodes_visited=0)
-    with pytest.raises(ValueError):
-        EvalLimits(max_vector_length=-1)
-
-
 def test_parse_bad_character_position():
     with pytest.raises(ParseError) as ei:
         parse("return 1 @ 2", {})
@@ -165,18 +157,23 @@ def test_evaluate_length_mismatch():
     assert ei.value.kind == "length-mismatch"
 
 
-def test_evaluate_node_budget():
+def test_evaluate_node_budget(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_PROGRAM_NODES", 3)
     p = parse("return a + a + a + a", {"a": "scalar"})
     with pytest.raises(EvalError) as ei:
-        evaluate(p, {"a": 1.0}, EvalLimits(max_nodes_visited=3))
+        evaluate(p, {"a": 1.0})
     assert ei.value.kind == "limit-exceeded"
+    assert "node-visit budget 3 exhausted" in ei.value.message
 
 
 def test_evaluate_vector_length_budget():
     p = parse("return v", {"v": "vector"})
+    n = dsl.MAX_VECTOR_LENGTH
+    assert evaluate(p, {"v": np.zeros(n)}).data.shape == (n,)
     with pytest.raises(EvalError) as ei:
-        evaluate(p, {"v": [0.0] * 10}, EvalLimits(max_vector_length=5))
+        evaluate(p, {"v": np.zeros(n + 1)})
     assert ei.value.kind == "limit-exceeded"
+    assert f"length {n + 1} exceeds max_vector_length {n}" in ei.value.message
 
 
 def test_reduction_of_scalar_rejected():
@@ -420,11 +417,12 @@ def test_sandbox_rejects_absurd_nesting():
         parse(chain, {"cap_remaining": "vector"})
 
 
-def test_sandbox_node_budget_bounds_any_parsed_program():
+def test_sandbox_node_budget_bounds_any_parsed_program(monkeypatch):
     depth = 100
     src = "return " + "abs(" * depth + "1.0" + ")" * depth
     p = parse(src, {})
-    with pytest.raises(EvalError) as ei:
-        evaluate(p, {}, EvalLimits(max_nodes_visited=10))
-    assert ei.value.kind == "limit-exceeded"
     assert evaluate(p, {}).data == 1.0
+    monkeypatch.setattr(dsl, "MAX_PROGRAM_NODES", 10)
+    with pytest.raises(EvalError) as ei:
+        evaluate(p, {})
+    assert ei.value.kind == "limit-exceeded"

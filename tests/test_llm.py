@@ -88,6 +88,15 @@ def test_prompt_byte_budget_truncates_parent_code_tail_first():
     assert text.startswith("[prompt-kind: refinement]")  # header survives
 
 
+def test_prompt_at_the_smallest_budget_keeps_its_kind_header():
+    seed = 10 ** 40  # the longest header a caller is likely to render
+    for kind in PromptKind:
+        text = render_prompt(kind, full_ctx(parent_code="x" * 5000, seed=seed),
+                             max_bytes=llm.MIN_PROMPT_BYTES)
+        assert len(text.encode()) <= llm.MIN_PROMPT_BYTES
+        assert llm.prompt_kind_of(text) is kind
+
+
 def test_prompt_kind_tag_round_trip():
     for kind in PromptKind:
         text = render_prompt(kind, full_ctx())
@@ -203,6 +212,35 @@ def test_scripted_provider_duplicate_key_rejected(tmp_path):
         ScriptedProvider(path)
 
 
+# Transcript lines ScriptedProvider rejects, with the text its error carries.
+MALFORMED_TRANSCRIPT_LINES = [
+    ('{"index": 0, "response": "a"}', "missing key 'kind'"),
+    ("[1,2]", "a transcript line must be a JSON object"),
+    ("nope", "invalid JSON: Expecting value"),
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_TRANSCRIPT_LINES + [
+    ('{"kind": "initialization", "response": "a"}', "missing key 'index'"),
+    ('{"kind": "initialization", "index": 1}', "missing key 'response'"),
+    ('{"kind": 3, "index": 1, "response": "a"}', "'kind' must be a string"),
+    ('{"kind": "initialization", "index": "1", "response": "a"}', "'index' must be an integer"),
+    ('{"kind": "initialization", "index": true, "response": "a"}', "'index' must be an integer"),
+    ('{"kind": "initialization", "index": 1, "response": null}', "'response' must be a string"),
+])
+def test_scripted_provider_malformed_line_names_file_and_line(tmp_path, line, message):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"kind": "initialization", "index": 0, "response": "a"}\n' + line + "\n")
+    with pytest.raises(ValueError) as ei:
+        ScriptedProvider(path)
+    assert str(ei.value).startswith(f"{path}:2: {message}")
+
+
+def test_scripted_provider_unreadable_transcript(tmp_path):
+    with pytest.raises(ValueError, match="cannot read transcript"):
+        ScriptedProvider(tmp_path / "gone.jsonl")
+
+
 def test_scripted_determinism_end_to_end(tmp_path):
     entries = [("initialization", i, f"resp {i}") for i in range(5)]
     p1 = make_scripted(tmp_path, entries)
@@ -241,6 +279,18 @@ def test_provider_config_invariants(tmp_path):
         ProviderConfig(provider="wat")
     cfg = ProviderConfig(provider="scripted", transcript_path=str(tmp_path / "x"))
     assert cfg.temperature == 1.0
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("max_prompt_bytes", 10, "max_prompt_bytes must be >= 256"),
+    ("max_prompt_bytes", 255, "max_prompt_bytes must be >= 256"),
+    ("retry_backoff_s", -0.5, "retry_backoff_s must be >= 0"),
+])
+def test_provider_config_rejects_values_that_break_callers(tmp_path, key, value, message):
+    with pytest.raises(ValueError, match=message):
+        ProviderConfig(provider="scripted", transcript_path=str(tmp_path / "x"), **{key: value})
+    ProviderConfig(provider="scripted", transcript_path=str(tmp_path / "x"),
+                   max_prompt_bytes=256, retry_backoff_s=0.0)
 
 
 # ---------------------------------------------------------------- http provider

@@ -27,7 +27,6 @@ from cdeoh.problems import (
     simulate_obp,
     simulate_tsp,
     tour_length,
-    tsp_instance_from_coords,
     tsp_reference,
     two_opt,
 )
@@ -246,9 +245,7 @@ def test_first_fit_vs_best_fit_goldens_and_dominance():
 # ---------------------------------------------------------------- TSP simulation
 
 def equilateral_triangle():
-    return tsp_instance_from_coords(
-        np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]])
-    )
+    return TspInstance(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3) / 2]]))
 
 
 def test_tsp_triangle_zero_gap():
@@ -296,11 +293,23 @@ def test_tsp_reference_bounds_and_determinism():
 def test_tsp_reference_cannot_be_passed_in():
     inst = gen_tsp(3, 8)
     with pytest.raises(TypeError):
-        TspInstance(inst.coords, inst.dist, 1.0)
+        TspInstance(inst.coords, 1.0)
     with pytest.raises(TypeError):
-        TspInstance(coords=inst.coords, dist=inst.dist, _reference=1.0)
-    fresh = TspInstance(inst.coords, inst.dist)
+        TspInstance(coords=inst.coords, _reference=1.0)
+    fresh = TspInstance(inst.coords)
     assert tsp_reference(fresh) == tsp_reference(inst) != 1.0
+
+
+def test_tsp_instance_derives_dist_from_coords():
+    inst = gen_tsp(5, 12)
+    delta = inst.coords[:, None, :] - inst.coords[None, :, :]
+    assert inst.dist.tobytes() == np.sqrt((delta ** 2).sum(axis=-1)).tobytes()
+    with pytest.raises(TypeError):
+        TspInstance(inst.coords, inst.dist)
+    with pytest.raises(ValueError, match=r"list of \[x, y\] pairs"):
+        TspInstance(np.zeros((5, 3)))
+    with pytest.raises(ValueError, match="at least 3 cities"):
+        TspInstance(np.zeros((2, 2)))
 
 
 def test_two_opt_never_worsens():
@@ -346,9 +355,9 @@ def _recorded(module, build, instance, program):
     steps = []
     real = module.evaluate
 
-    def recording(prog, inputs, limits=None):
+    def recording(prog, inputs):
         steps.append({k: np.array(v, copy=True) for k, v in inputs.items()})
-        return real(prog, inputs, limits)
+        return real(prog, inputs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "evaluate", recording)

@@ -23,6 +23,17 @@ def test_scripted_demo_runs_reports_and_replays(tmp_path):
     assert (run_dir / "report.md").exists()
 
 
+def test_benchmark_trace_hooks_resolve(tmp_path):
+    """Every name the benchmark's tracer hooks (perfbench/child.py) still exists."""
+    code = "import child; child.install_tracer(child.Tracer())"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "perfbench"), str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_bench_baselines_quick(tmp_path):
     proc = run_script("bench_baselines.py", "--quick", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
