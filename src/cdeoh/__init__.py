@@ -9,7 +9,6 @@ from cdeoh.evolution import (
     GenerationStats,
     Population,
     joint_score,
-    run_evolution,
     select_next_generation,
 )
 from cdeoh.llm import PromptContext, PromptKind, ProviderConfig, make_provider
@@ -60,7 +59,6 @@ __all__ = [
     "obp_lower_bound",
     "parse",
     "render_grammar",
-    "run_evolution",
     "select_next_generation",
     "simulate_obp",
     "simulate_tsp",

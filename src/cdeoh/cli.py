@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TextIO
+from typing import TextIO, get_args, get_type_hints
 
 import numpy as np
 
@@ -39,70 +39,81 @@ class ConfigError(Exception):
 # Config loading (unknown keys are hard errors)
 # --------------------------------------------------------------------------
 
-_SUITE_KEYS_OBP = {"sizes", "capacities", "seeds", "weibull_shape", "weibull_scale"}
-_SUITE_KEYS_TSP = {"sizes", "seeds", "mode"}
-_EVOLUTION_KEYS = {"population_size", "elite_categories", "lambda", "reflection_budget",
-                   "max_samples", "max_generations", "enable_categories",
-                   "enable_reflection", "rng_seed"}
-_PROVIDER_KEYS = {"provider", "base_url", "model", "temperature", "max_retries",
-                  "transcript_path", "max_prompt_bytes", "retry_backoff_s"}
 _TOP_KEYS = {"task", "suite", "evolution", "provider", "output_dir"}
+_JSON_KEYS = {"lambda_weight": "lambda"}  # field name -> config key, where they differ
+_WANT = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+         tuple[int, ...]: "a non-empty list of integers"}
 
 
-def _reject_unknown(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {', '.join(sorted(unknown))}")
+@dataclass(frozen=True)
+class ObpSuiteConfig:
+    sizes: tuple[int, ...] = (1000,)
+    capacities: tuple[int, ...] = (100,)
+    seeds: tuple[int, ...] = problems.DEFAULT_OBP_SEEDS
+    weibull_shape: float = 3.0
+    weibull_scale: float = 45.0
+
+    def build(self) -> BenchmarkSuite:
+        return problems.make_obp_suite(self.sizes, self.capacities, self.seeds,
+                                       self.weibull_shape, self.weibull_scale)
 
 
-def _section(data: dict, name: str, allowed: set[str]) -> dict:
-    """A copy of the object under `name` (default empty), with its keys checked."""
-    section = data.get(name, {})
+@dataclass(frozen=True)
+class TspSuiteConfig:
+    sizes: tuple[int, ...] = (50,)
+    seeds: tuple[int, ...] = problems.DEFAULT_TSP_SEEDS
+    mode: str = "uniform"
+
+    def build(self) -> BenchmarkSuite:
+        return problems.make_tsp_suite(self.sizes, self.seeds, self.mode)
+
+
+_SUITE_CONFIGS = {"obp": ObpSuiteConfig, "tsp": TspSuiteConfig}
+
+
+def _has_type(want, value) -> bool:
+    if want is float:  # finite: abs() of NaN, an infinity or a huge int is not <= max
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if want == tuple[int, ...]:
+        return type(value) is list and bool(value) and all(type(x) is int for x in value)
+    return type(value) is want  # so a JSON bool is not an int
+
+
+def _typed_section(cls, name: str, section):
+    """`cls` built from a config object whose keys and value types are its fields'."""
     if not isinstance(section, dict):
         raise ConfigError(f"{name} must be an object")
-    _reject_unknown(name, section, allowed)
-    return dict(section)
-
-
-def _check_suite_value(key: str, value) -> None:
-    if key in ("sizes", "capacities", "seeds"):
-        ok = isinstance(value, list) and value and all(type(x) is int for x in value)
-        want = "a non-empty list of integers"
-    elif key == "mode":
-        ok, want = isinstance(value, str), "a string"
-    else:  # weibull_shape, weibull_scale
-        ok, want = type(value) in (int, float), "a number"
-    if not ok:
-        raise ConfigError(f"suite.{key} must be {want}")
+    fields = {_JSON_KEYS.get(f, f): (f, hint) for f, hint in get_type_hints(cls).items()}
+    unknown = set(section) - set(fields)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(sorted(unknown))}")
+    kwargs = {}
+    for key, value in section.items():
+        field, hint = fields[key]
+        nullable = type(None) in get_args(hint)  # `X | None`
+        want = get_args(hint)[0] if nullable else hint
+        if not (value is None and nullable or _has_type(want, value)):
+            raise ConfigError(f"{name}.{key} must be {_WANT[want]}{' or null' * nullable}")
+        kwargs[field] = tuple(value) if type(value) is list else value
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"invalid {name} config: {e}") from e
 
 
 @dataclass
 class RunConfig:
     task: str
-    suite: dict
+    suite: ObpSuiteConfig | TspSuiteConfig
     evolution: EvolutionConfig
     provider: ProviderConfig
     output_dir: str
     raw: dict  # the parsed file, snapshotted verbatim into the run dir
 
-    def build_suite(self) -> BenchmarkSuite:
-        return build_suite(self.task, self.suite)
 
-
-def build_suite(task: str, suite_cfg: dict) -> BenchmarkSuite:
-    if task == "obp":
-        return problems.make_obp_suite(
-            sizes=suite_cfg.get("sizes", [1000]),
-            capacities=suite_cfg.get("capacities", [100]),
-            seeds=suite_cfg.get("seeds", list(problems.DEFAULT_OBP_SEEDS)),
-            shape=suite_cfg.get("weibull_shape", 3.0),
-            scale=suite_cfg.get("weibull_scale", 45.0),
-        )
-    return problems.make_tsp_suite(
-        sizes=suite_cfg.get("sizes", [50]),
-        seeds=suite_cfg.get("seeds", list(problems.DEFAULT_TSP_SEEDS)),
-        mode=suite_cfg.get("mode", "uniform"),
-    )
+def build_suite(task: str, section: dict) -> BenchmarkSuite:
+    """The suite a config's `suite` object describes for `task`."""
+    return _typed_section(_SUITE_CONFIGS[task], "suite", section).build()
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -115,39 +126,24 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown("config", data, _TOP_KEYS)
+    unknown = set(data) - _TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config: {', '.join(sorted(unknown))}")
 
     task = data.get("task")
     if task not in problems.TASKS:
         raise ConfigError(f"task must be one of {problems.TASKS}, got {task!r}")
-
-    suite_cfg = _section(data, "suite", _SUITE_KEYS_OBP if task == "obp" else _SUITE_KEYS_TSP)
-    for key, value in suite_cfg.items():
-        _check_suite_value(key, value)
-
-    evo_cfg = _section(data, "evolution", _EVOLUTION_KEYS)
-    if "lambda" in evo_cfg:
-        evo_cfg["lambda_weight"] = evo_cfg.pop("lambda")
-    try:
-        evo = EvolutionConfig(**evo_cfg)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid evolution config: {e}") from e
-
-    prov_cfg = _section(data, "provider", _PROVIDER_KEYS)
-    if prov_cfg.get("provider", "scripted") == "scripted" and prov_cfg.get("transcript_path"):
+    suite = _typed_section(_SUITE_CONFIGS[task], "suite", data.get("suite", {}))
+    evolution = _typed_section(EvolutionConfig, "evolution", data.get("evolution", {}))
+    provider = _typed_section(ProviderConfig, "provider", data.get("provider", {}))
+    if provider.provider == "scripted":
         # transcript paths are resolved relative to the config file
-        tp = Path(prov_cfg["transcript_path"])
-        if not tp.is_absolute():
-            prov_cfg["transcript_path"] = str(path.parent / tp)
-    try:
-        provider = ProviderConfig(**prov_cfg)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid provider config: {e}") from e
+        provider.transcript_path = str(path.parent / provider.transcript_path)
 
     output_dir = data.get("output_dir", "runs")
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir must be a string")
-    return RunConfig(task=task, suite=suite_cfg, evolution=evo, provider=provider,
+    return RunConfig(task=task, suite=suite, evolution=evolution, provider=provider,
                      output_dir=output_dir, raw=data)
 
 
@@ -173,12 +169,19 @@ class RunLogWriter:
         self.seq += 1
 
 
-def parse_events(text: str) -> list[dict]:
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+def parse_events(text: str, source: str) -> list[dict]:
+    events = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if line.strip():
+            try:
+                events.append(json.loads(line))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
+    return events
 
 
 def read_events(path: Path) -> list[dict]:
-    return parse_events(path.read_text())
+    return parse_events(path.read_text(), str(path))
 
 
 def strip_timestamps(events) -> list[dict]:
@@ -269,7 +272,7 @@ def _write_results(run_dir: Path, engine: EvolutionEngine) -> None:
 def cmd_run(config_path: str) -> int:
     try:
         cfg = load_run_config(config_path)
-        suite = cfg.build_suite()
+        suite = cfg.suite.build()
         provider = llm.make_provider(cfg.provider)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -315,14 +318,22 @@ def _suite_from_args(args) -> BenchmarkSuite:
 
 
 def _load_heuristic_code(path: Path) -> str:
-    text = path.read_text()
+    """The `code` of a best.json-shaped file, else the file's text."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise ValueError(f"cannot read heuristic file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise ValueError(f"heuristic file {path} is not UTF-8 text") from None
     try:
         data = json.loads(text)
-        if isinstance(data, dict) and "code" in data:
-            return data["code"]
     except json.JSONDecodeError:
-        pass
-    return text
+        return text
+    if not (isinstance(data, dict) and "code" in data):
+        return text
+    if not isinstance(data["code"], str):
+        raise ValueError(f"{path}: 'code' must be a string")
+    return data["code"]
 
 
 def _format_table(headers, rows) -> str:
@@ -336,16 +347,12 @@ def _format_table(headers, rows) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    path = Path(args.heuristic)
-    if not path.exists():
-        print(f"error: heuristic file not found: {path}", file=sys.stderr)
-        return 2
     try:
+        code = _load_heuristic_code(Path(args.heuristic))
         suite = _suite_from_args(args)
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    code = _load_heuristic_code(path)
     try:
         program = dsl.parse(code, problems.input_signature(suite.task))
     except dsl.ParseError as e:
@@ -418,10 +425,10 @@ def _replay_events(run_dir: Path) -> list[dict]:
         raise ConfigError("transcript not found for replay")
     buf = io.StringIO()
     provider = llm.make_provider(cfg.provider)
-    engine = EvolutionEngine(cfg.evolution, provider, cfg.build_suite(),
+    engine = EvolutionEngine(cfg.evolution, provider, cfg.suite.build(),
                              log=RunLogWriter(buf, timestamps=False).emit)
     engine.run()
-    return parse_events(buf.getvalue())
+    return parse_events(buf.getvalue(), "replayed events")
 
 
 def cmd_replay(run_dir_arg: str) -> int:
@@ -431,11 +438,11 @@ def cmd_replay(run_dir_arg: str) -> int:
         print("error: run dir is missing events.jsonl or config.json", file=sys.stderr)
         return 2
     try:
+        recorded = strip_timestamps(read_events(events_path))
         replayed = _replay_events(run_dir)
     except (ConfigError, BudgetExhaustedError, ProviderError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    recorded = strip_timestamps(read_events(events_path))
     for i, (a, b) in enumerate(zip(recorded, replayed)):
         if a != b:
             print(f"divergence at seq {i}", file=sys.stderr)
@@ -453,7 +460,11 @@ def cmd_report(run_dir_arg: str) -> int:
     if not events_path.exists():
         print("error: incomplete run: events.jsonl missing", file=sys.stderr)
         return 2
-    events = read_events(events_path)
+    try:
+        events = read_events(events_path)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     rows = summary_rows_from_events(events)
     if not rows:
         print("error: incomplete run: no generation summaries logged", file=sys.stderr)
@@ -485,8 +496,8 @@ def cmd_report(run_dir_arg: str) -> int:
     if cfg_path.exists():
         try:
             cfg = load_run_config(cfg_path)
-            labels = cfg.build_suite().labels
-        except ConfigError:
+            labels = cfg.suite.build().labels
+        except (ConfigError, ValueError):
             labels = None
     gaps = best.get("instance_gaps", [])
     if labels and len(labels) == len(gaps):
@@ -502,7 +513,7 @@ def cmd_report(run_dir_arg: str) -> int:
     for row in rows:
         lines.append(f"- generation {row['generation']}: best gap {row['best_gap_percent']}%"
                      f" ({row['cumulative_samples']} samples)")
-    (run_dir / "report.md").write_text("\n".join(lines) + "\n")
+    (run_dir / "report.md").write_text("\n".join(lines) + "\n", errors="replace")
     print(f"wrote {run_dir / 'report.csv'} and {run_dir / 'report.md'}")
     return 0
 
@@ -517,7 +528,7 @@ def _add_suite_args(parser: argparse.ArgumentParser) -> None:
                         help="OBP item counts / TSP city counts")
     parser.add_argument("--capacities", type=int, nargs="+", help="OBP bin capacities")
     parser.add_argument("--seeds", type=int, nargs="+")
-    parser.add_argument("--mode", choices=("uniform", "gaussian-mixture"), default="uniform",
+    parser.add_argument("--mode", choices=("uniform", "gaussian-mixture"),
                         help="TSP coordinate distribution")
     parser.add_argument("--suite-file", help="JSON suite file (overrides generated instances)")
 

@@ -117,7 +117,7 @@ class EvolutionConfig:
         if self.max_samples < 1:
             raise ValueError("max_samples must be >= 1")
         if self.max_generations is None:
-            self.max_generations = math.ceil(self.max_samples / (2 * self.population_size))
+            self.max_generations = -(-self.max_samples // (2 * self.population_size))  # ceil
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
 
@@ -449,9 +449,3 @@ class EvolutionEngine:
         })
         return gs
 
-
-def run_evolution(config: EvolutionConfig, provider, suite: BenchmarkSuite,
-                  log: LogFn | None = None) -> tuple[Candidate, list[GenerationStats]]:
-    """Initialize, evolve until the sample or generation budget is hit,
-    and return the all-time best candidate with per-generation stats."""
-    return EvolutionEngine(config, provider, suite, log).run()

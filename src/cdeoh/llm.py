@@ -188,19 +188,25 @@ def _check_context(kind: PromptKind, ctx: PromptContext) -> None:
         raise MissingContextError("reflection prompt requires error_message")
 
 
+def _encodable(text: str) -> str:
+    """`text` with each code point UTF-8 cannot encode (a lone surrogate) as '?'."""
+    return text.encode("utf-8", errors="replace").decode("utf-8")
+
+
 def render_prompt(kind: PromptKind, ctx: PromptContext,
                   max_bytes: int = DEFAULT_MAX_PROMPT_BYTES) -> str:
     """Deterministic prompt text for `kind`; never exceeds `max_bytes`."""
     kind = PromptKind(kind)
     _check_context(kind, ctx)
-    text = _render_once(kind, ctx)
+    text = _encodable(_render_once(kind, ctx))
     over = len(text.encode("utf-8")) - max_bytes
     if over > 0 and ctx.parent_code:
         # Drop the tail of the parent code first, marking the cut.
-        keep = max(0, len(ctx.parent_code.encode("utf-8")) - over - len(TRUNCATION_MARKER))
-        cut_code = ctx.parent_code.encode("utf-8")[:keep].decode("utf-8", errors="ignore")
+        code = _encodable(ctx.parent_code).encode("utf-8")
+        keep = max(0, len(code) - over - len(TRUNCATION_MARKER))
+        cut_code = code[:keep].decode("utf-8", errors="ignore")
         ctx2 = PromptContext(**{**ctx.__dict__, "parent_code": cut_code + TRUNCATION_MARKER})
-        text = _render_once(kind, ctx2)
+        text = _encodable(_render_once(kind, ctx2))
     raw = text.encode("utf-8")
     if len(raw) > max_bytes:
         marker = TRUNCATION_MARKER.encode("utf-8")
@@ -280,7 +286,7 @@ def canonical_label(text: str) -> str:
         if cand.strip():
             line = cand
             break
-    label = " ".join(line.lower().split()).strip(_PUNCT_WS)
+    label = " ".join(_encodable(line).lower().split()).strip(_PUNCT_WS)
     if len(label) > 48:
         label = label[:48].strip(_PUNCT_WS)
     return label or "uncategorized"

@@ -34,6 +34,7 @@ TSP_INPUTS: Mapping[str, dsl.Kind] = {
 }
 
 TASKS = ("obp", "tsp")
+MAX_CAPACITY = 2**53  # bin loads are float64 in the simulator, exact up to here
 
 
 class CandidateFailure(Exception):
@@ -97,8 +98,8 @@ class ObpInstance:
     _lower_bound: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.capacity < 2:
-            raise ValueError("capacity must be >= 2")
+        if not 2 <= self.capacity <= MAX_CAPACITY:
+            raise ValueError(f"capacity must lie in [2, {MAX_CAPACITY}]")
         if not self.items:
             raise ValueError("items must be non-empty")
         if any(x < 1 or x > self.capacity for x in self.items):
@@ -163,8 +164,8 @@ def gen_obp(seed: int, n_items: int, capacity: int,
     """Weibull-distributed item sizes, rounded up and clamped to [1, capacity]."""
     if n_items < 1:
         raise ValueError("n_items must be >= 1")
-    if capacity < 2:
-        raise ValueError("capacity must be >= 2")
+    if not 2 <= capacity <= MAX_CAPACITY:
+        raise ValueError(f"capacity must lie in [2, {MAX_CAPACITY}]")
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from cdeoh import cli, dsl, evolution, llm, problems
+from cdeoh import cli, dsl, llm, problems
 from cdeoh.evolution import (
     BudgetExhaustedError,
     Candidate,
@@ -377,7 +377,7 @@ def test_acceptance_monotone_best(tmp_path):
         d = tmp_path / name
         d.mkdir()
         provider = tb.provider(d)
-        _, stats = evolution.run_evolution(EvolutionConfig(**cfg_kw), provider, ladder_suite())
+        _, stats = EvolutionEngine(EvolutionConfig(**cfg_kw), provider, ladder_suite()).run()
         fits = [s.best_fitness for s in stats]
         assert fits == sorted(fits), name
     _pass("monotone best-fitness trajectory across all scripted runs", t0, 10.0)

@@ -1,11 +1,20 @@
+import contextlib
+import copy
 import csv
+import io
 import json
+import math
+import random
 import re
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
-from cdeoh import problems
+from cdeoh import dsl, llm, problems
 from cdeoh.cli import (
     ConfigError,
     best_candidate_from_events,
@@ -15,6 +24,7 @@ from cdeoh.cli import (
     strip_timestamps,
     summary_rows_from_events,
 )
+from cdeoh.llm import wrap_generation
 
 from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder, ladder_response
 from test_evolution import three_gen_transcript
@@ -95,6 +105,17 @@ def test_config_section_must_be_an_object(tmp_path, section, value):
      "invalid provider config: max_prompt_bytes must be >= 256"),
     ("obp", "provider", "retry_backoff_s", -1,
      "invalid provider config: retry_backoff_s must be >= 0"),
+    ("obp", "evolution", "rng_seed", "x", "evolution.rng_seed must be an integer"),
+    ("obp", "evolution", "enable_reflection", "no", "evolution.enable_reflection must be a boolean"),
+    ("obp", "evolution", "max_samples", 1.5, "evolution.max_samples must be an integer"),
+    ("obp", "evolution", "max_generations", 2.5,
+     "evolution.max_generations must be an integer or null"),
+    ("obp", "evolution", "population_size", True, "evolution.population_size must be an integer"),
+    ("obp", "evolution", "lambda", float("nan"), "evolution.lambda must be a number"),
+    ("obp", "provider", "transcript_path", 5, "provider.transcript_path must be a string or null"),
+    ("obp", "provider", "temperature", "hot", "provider.temperature must be a number"),
+    ("obp", "provider", "max_retries", 2.5, "provider.max_retries must be an integer"),
+    ("obp", "suite", "weibull_scale", float("inf"), "suite.weibull_scale must be a number"),
 ])
 def test_config_value_that_breaks_callers_exits_2(tmp_path, capsys, task, section, key, value,
                                                   message):
@@ -109,6 +130,14 @@ def test_config_value_that_breaks_callers_exits_2(tmp_path, capsys, task, sectio
         load_run_config(cfg_path)
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("capacity", [2**53 + 1, 10**400])
+def test_suite_that_cannot_be_generated_exits_2(tmp_path, capsys, capacity):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript(), suite={"capacities": [capacity]})
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == f"error: capacity must lie in [2, {2**53}]\n"
     assert not (tmp_path / "runs").exists()
 
 
@@ -188,6 +217,27 @@ def test_cmd_run_aborted_by_provider_error_writes_what_exists(tmp_path, capsys):
     assert rows[0]["best_fitness"] == repr(float(want["fitness"]))
 
 
+def test_lone_surrogate_in_a_response_does_not_end_the_run(tmp_path, capsys):
+    # Valid JSON can carry a lone surrogate; the prompts that quote the
+    # response must still render, so the run samples on.
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [wrap_generation("idea", "return 0 - item # \ud800"),
+                                   ladder_response(1)])
+    tb.add_many("refinement", [ladder_response(2)] * 2)
+    tb.add_many("innovation", [ladder_response(3)] * 2)
+    tb.add_many("category-induction", ["greedy \ud800 scan"] + ["greedy"] * 5)
+    cfg_path = write_run_config(tmp_path, tb, evolution={"max_generations": 1, "max_samples": 6})
+    assert main(["run", str(cfg_path)]) == 0
+    run_dir = single_run_dir(tmp_path)
+    events = read_events(run_dir / "events.jsonl")
+    first = next(e for e in events if e["event"] == "evaluation")["payload"]
+    assert first["code"] == "return 0 - item # \ud800" and first["category"] == "greedy ? scan"
+    assert sum(e["event"] == "sample" for e in events) == 6
+    assert main(["replay", str(run_dir)]) == 0
+    assert main(["report", str(run_dir)]) == 0
+    capsys.readouterr()
+
+
 # ---------------------------------------------------------------- replay
 
 def test_cmd_replay_untouched_run(tmp_path):
@@ -250,6 +300,20 @@ def test_cmd_replay_missing_events(tmp_path):
     assert main(["replay", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["replay", "report"])
+def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    assert main(["run", str(cfg_path)]) == 0
+    events = single_run_dir(tmp_path) / "events.jsonl"
+    text = events.read_text()
+    events.write_text(text[:-20])  # a run that crashed mid-line
+    capsys.readouterr()
+    assert main([command, str(events.parent)]) == 2
+    err = capsys.readouterr().err
+    where = f"{events}:{text.count(chr(10))}: invalid JSON: "
+    assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------- report
 
 def test_cmd_report_outputs(tmp_path):
@@ -298,6 +362,17 @@ def test_summary_recomputable_from_events_alone(tmp_path):
         assert float(row["best_fitness"]) == running_best
 
 
+def test_cmd_report_per_instance_gaps_when_config_suite_does_not_build(tmp_path):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    assert main(["run", str(cfg_path)]) == 0
+    run_dir = single_run_dir(tmp_path)
+    config = json.loads((run_dir / "config.json").read_text())
+    config["suite"]["sizes"] = [0]
+    (run_dir / "config.json").write_text(json.dumps(config))
+    assert main(["report", str(run_dir)]) == 0
+    assert "- instance 0: " in (run_dir / "report.md").read_text()
+
+
 def test_cmd_report_incomplete_run(tmp_path):
     (tmp_path / "events.jsonl").write_text("")
     assert main(["report", str(tmp_path)]) == 2
@@ -335,6 +410,29 @@ def test_cmd_evaluate_malformed_dsl(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "frobnicate" in err
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ('{"code": 5}', "'code' must be a string"),
+    ('{"code": ["return item"]}', "'code' must be a string"),
+    (None, "Is a directory"),
+    (b"return item \xff", "is not UTF-8 text"),
+])
+def test_cmd_evaluate_bad_heuristic_file_is_one_line_and_exit_2(tmp_path, capsys, content,
+                                                                message):
+    heuristic = tmp_path / "heuristic"
+    if content is None:
+        heuristic.mkdir()
+    elif isinstance(content, bytes):
+        heuristic.write_bytes(content)
+    else:
+        heuristic.write_text(content)
+    rc = main(["evaluate", str(heuristic), "--task", "obp",
+               "--sizes", "20", "--capacities", "50", "--seeds", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(heuristic) in err and message in err
 
 
 def test_cmd_evaluate_deterministic(tmp_path, capsys):
@@ -405,6 +503,19 @@ def test_cmd_bench_tsp_nn_gap_nonnegative(capsys):
     assert float(ref_row.split()[-1]) == 0.0
 
 
+@pytest.mark.parametrize("command", ["evaluate", "bench"])
+@pytest.mark.parametrize("flags, named", [
+    (["--task", "tsp", "--sizes", "10", "--capacities", "50"], "capacities"),
+    (["--task", "obp", "--sizes", "10", "--mode", "uniform"], "mode"),
+])
+def test_flag_the_task_does_not_take_exits_2(tmp_path, capsys, command, flags, named):
+    heuristic = tmp_path / "h.txt"
+    heuristic.write_text(problems.NEAREST_NEIGHBOR_PROGRAM)
+    args = [str(heuristic)] if command == "evaluate" else []
+    assert main([command, *args, *flags]) == 2
+    assert capsys.readouterr().err == f"error: unknown key(s) in suite: {named}\n"
+
+
 def test_cmd_bench_requires_task(capsys):
     assert main(["bench"]) == 2
 
@@ -413,3 +524,138 @@ def test_cmd_bench_empty_seeds():
     with pytest.raises(SystemExit) as ei:
         main(["bench", "--task", "obp", "--sizes", "10", "--capacities", "50", "--seeds"])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------- the whole loop, fuzzed
+
+_DROP = object()
+_RETYPED = (True, 0, 1.5, "x", None, [3], {"a": 1})  # one value of each JSON type
+# In-range values at the edges; out-of-range ones have their own tests above.
+_EXTREMES = {
+    ("evolution", "population_size"): (1, 10**400),
+    ("evolution", "elite_categories"): (0, 2),
+    ("evolution", "lambda"): (0, 5e-324, 1e308),
+    ("evolution", "reflection_budget"): (0, 10**400),
+    ("evolution", "max_samples"): (1, 10**400),
+    ("evolution", "max_generations"): (None, 1, 10**400),
+    ("evolution", "rng_seed"): (-(10**400), 10**400),
+    ("provider", "max_prompt_bytes"): (256, 10**400),
+    ("provider", "temperature"): (-1e308, 1e308),
+    ("provider", "max_retries"): (1, 10**400),
+    ("provider", "retry_backoff_s"): (0, 1e308),
+    ("suite", "capacities"): ([2], [2**53]),
+    ("suite", "seeds"): ([0], [10**400]),
+    ("suite", "weibull_shape"): (5e-324, 1e308),
+    ("suite", "weibull_scale"): (5e-324, 1e308),
+}
+# Every settable key but `suite.sizes`, whose default is 1000-item instances.
+_MUTABLE = ([("suite", k) for k in ("capacities", "seeds", "weibull_shape",
+                                    "weibull_scale", "mode")]
+            + [("evolution", k) for k in ("population_size", "elite_categories", "lambda",
+                                          "reflection_budget", "max_samples", "max_generations",
+                                          "enable_categories", "enable_reflection", "rng_seed")]
+            + [("provider", k) for k in ("provider", "base_url", "model", "temperature",
+                                         "max_retries", "transcript_path", "max_prompt_bytes",
+                                         "retry_backoff_s")])
+
+
+def _change(path):
+    return st.tuples(st.just(path), st.sampled_from(_EXTREMES.get(path, ()) + (_DROP,)))
+
+
+def _sum_program(terms: int) -> str:
+    return wrap_generation(f"{terms} terms", "return " + " + ".join(["cap_remaining"] * terms))
+
+
+_NODE_BUDGET = 39  # the nodes of _sum_program(20); one more term is over budget
+_ODD_RESPONSES = (
+    "", "{", "}{", "```", "{idea}\n```\nreturn item", "{" * 40 + "```" * 3,
+    wrap_generation("deep", "return " + "(" * 5000 + "item" + ")" * 5000),
+    wrap_generation("overflow", "return 1e309 * item"),
+    wrap_generation("surrogate \ud800", "return 0 - item # \ud800"),
+    "{\ud800}\n```\n\ud800\n```",
+)
+_responses = st.one_of(
+    st.text(max_size=60),
+    st.builds(wrap_generation, st.text(max_size=20), st.text(max_size=40)),
+    st.builds(_sum_program, st.integers(_NODE_BUDGET // 2, _NODE_BUDGET // 2 + 2)),
+    st.builds(ladder_response, st.integers(0, 5)),
+)
+
+
+def _checked_run(tmp_path: Path, transcript: TranscriptBuilder, mutations) -> Path | None:
+    """`cdeoh run` on the ladder config with `mutations` applied; checks the
+    exit code, stderr and evaluation events, and returns the run dir of a
+    run that exited 0."""
+    tmp_path.mkdir()
+    cfg_path = write_run_config(tmp_path, transcript, evolution={"max_generations": 1})
+    cfg = json.loads(cfg_path.read_text())
+    for (section, key), value in mutations:
+        if value is _DROP:
+            cfg[section].pop(key, None)
+        else:
+            cfg[section][key] = copy.deepcopy(value)
+    cfg_path.write_text(json.dumps(cfg))
+
+    # strict UTF-8, like a terminal: printing a lone surrogate fails here
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["run", str(cfg_path)])
+    stderr = err.buffer.getvalue().decode()
+    assert rc in (0, 1, 2)
+    assert sum(line.startswith("error:") for line in stderr.splitlines()) <= 1, stderr
+    assert "Traceback" not in stderr
+    if rc == 2:
+        assert not (tmp_path / "runs").exists()
+        return None
+    if rc == 1:  # a scripted run stops early only when the transcript or the budget ends
+        assert stderr.startswith(("error: provider error [transcript-miss]",
+                                  "error: sample budget")), stderr
+    run_dir = single_run_dir(tmp_path)
+    for event in read_events(run_dir / "events.jsonl"):
+        payload = event["payload"]
+        if event["event"] == "evaluation":
+            assert (math.isfinite(payload["fitness"]) if "fitness" in payload
+                    else "\n" not in payload["error"]), payload
+    return run_dir if rc == 0 else None
+
+
+@given(changed=st.lists(st.sampled_from(_MUTABLE).flatmap(_change), max_size=3),
+       replaced=st.dictionaries(st.integers(0, 11), _responses, max_size=4),
+       dropped=st.sets(st.integers(0, 11), max_size=2),
+       extra=st.lists(st.tuples(st.sampled_from([k.value for k in llm.PromptKind]), _responses),
+                      max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_cmd_run_on_fuzzed_configs_and_transcripts(changed, replaced, dropped, extra):
+    """Any config and transcript: exit 0, 1 or 2 with at most one error line,
+    no run dir on exit 2 and exit 1 only when the transcript or the budget
+    ends; every evaluation has a finite fitness or a one-line error; a run
+    that exits 0 replays."""
+    # Hypothesis' own choices cluster on the first few elements of a list,
+    # so the odd responses and the retyped (key, value) pairs are drawn from
+    # a generator seeded by the example instead.
+    rng = random.Random(repr((changed, replaced, dropped, extra)))
+    if rng.random() < 0.5:
+        entry, odd = rng.randrange(12), rng.randrange(len(_ODD_RESPONSES))
+        note(f"entry {entry} is _ODD_RESPONSES[{odd}]")
+        replaced = {**replaced, entry: _ODD_RESPONSES[odd]}
+    tb = TranscriptBuilder()
+    for i, (kind, _, response) in enumerate(three_gen_transcript().entries[:12]):
+        if i not in dropped:
+            tb.add(kind, replaced.get(i, response))
+    for kind, response in extra:
+        tb.add(kind, response)
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(dsl, "MAX_PROGRAM_NODES", _NODE_BUDGET):
+        # One retyped key per run, each on an empty transcript, so that no
+        # other bad value hides it and a config that passes ends at the
+        # first provider call.
+        for i in range(3):
+            retype = (rng.choice(_MUTABLE), rng.choice(_RETYPED))
+            note(f"retyped {retype}")
+            _checked_run(Path(tmp) / f"retyped{i}", TranscriptBuilder(), changed + [retype])
+        run_dir = _checked_run(Path(tmp) / "run", tb, changed)
+        if run_dir is not None:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["replay", str(run_dir)]) == 0

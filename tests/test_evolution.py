@@ -13,7 +13,6 @@ from cdeoh.evolution import (
     EvolutionEngine,
     Population,
     joint_score,
-    run_evolution,
     select_next_generation,
 )
 
@@ -372,8 +371,8 @@ def test_run_evolution_three_generations(scripted):
     events = []
     provider = scripted(three_gen_transcript())
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=100)
-    best, stats = run_evolution(cfg, provider, ladder_suite(),
-                                log=lambda e, p: events.append((e, p)))
+    best, stats = EvolutionEngine(cfg, provider, ladder_suite(),
+                                  log=lambda e, p: events.append((e, p))).run()
     assert best.fitness == ladder_fitness(0)
     assert len(stats) == 4  # init + 3 generations
     assert [s.generation for s in stats] == [0, 1, 2, 3]
@@ -397,8 +396,8 @@ def test_run_evolution_is_deterministic(scripted, tmp_path):
         d.mkdir()
         provider = three_gen_transcript().provider(d)
         events = []
-        best, stats = run_evolution(cfg, provider, ladder_suite(),
-                                    log=lambda e, p: events.append((e, p)))
+        best, stats = EvolutionEngine(cfg, provider, ladder_suite(),
+                                      log=lambda e, p: events.append((e, p))).run()
         return best, stats, events
 
     best1, stats1, ev1 = one_run("a")
@@ -450,7 +449,7 @@ def test_run_evolution_nocategory_reduces_to_pure_fitness(scripted, tmp_path):
 def test_run_evolution_budget_cuts_generation(scripted):
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=4)
     provider = scripted(three_gen_transcript())
-    best, stats = run_evolution(cfg, provider, ladder_suite())
+    best, stats = EvolutionEngine(cfg, provider, ladder_suite()).run()
     # 2 init samples + 2 offspring samples, then the budget stops everything
     assert sum(s.samples_used for s in stats) == 4
     assert stats[-1].generation <= 3
@@ -461,7 +460,7 @@ def test_run_evolution_reuses_cached_fitness(scripted):
     # provider sees exactly 2 + 3*4 = 14 generation calls.
     provider = scripted(three_gen_transcript())
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=100)
-    run_evolution(cfg, provider, ladder_suite())
+    EvolutionEngine(cfg, provider, ladder_suite()).run()
     total = (provider.calls_made("initialization") + provider.calls_made("refinement")
              + provider.calls_made("innovation") + provider.calls_made("reflection"))
     assert total == 14

@@ -1,9 +1,12 @@
 """Smoke tests: the scripts under scripts/ run end to end against the package."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from cdeoh import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,6 +35,20 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_suites_build(monkeypatch):
+    """Every benchmark workload's suite (perfbench/inputs.py) builds through cli.build_suite."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    labels = {name: cli.build_suite(w.task, w.suite).labels
+              for name, w in inputs.WORKLOADS.items()}
+    assert labels == {"obp-evolve": ("1kC100", "1kC500"),
+                      "tsp-evolve": ("size100",) * 2 + ("size200",) * 2,
+                      "llm-latency": ("25C100",)}
 
 
 def test_bench_baselines_quick(tmp_path):
