@@ -3,11 +3,10 @@
 from cdeoh.dsl import EvalError, ParseError, Program, Value, evaluate, parse, render_grammar
 from cdeoh.evolution import (
     Candidate,
-    CategoryPool,
     EvolutionConfig,
     EvolutionEngine,
-    GenerationStats,
     Population,
+    RunState,
     joint_score,
     select_next_generation,
 )
@@ -33,12 +32,10 @@ __all__ = [
     "BenchmarkSuite",
     "Candidate",
     "CandidateFailure",
-    "CategoryPool",
     "EvalError",
     "EvalReport",
     "EvolutionConfig",
     "EvolutionEngine",
-    "GenerationStats",
     "ObpInstance",
     "ParseError",
     "Population",
@@ -46,6 +43,7 @@ __all__ = [
     "PromptContext",
     "PromptKind",
     "ProviderConfig",
+    "RunState",
     "TspInstance",
     "Value",
     "evaluate",

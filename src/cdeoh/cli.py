@@ -3,8 +3,11 @@ deterministic replay and report generation.
 
 Run directories contain: config.json (verbatim snapshot), transcript.jsonl
 (copied for scripted runs), events.jsonl (append-only event stream),
-population_gen*.json snapshots, best.json and summary.csv.  Everything in
-summary.csv is recomputable from events.jsonl alone.
+population_gen*.json snapshots, best.json and summary.csv; `cdeoh report`
+adds report.csv and report.md.  The snapshots, best.json, summary.csv and
+report.* are all written from `RunState.from_events` over events.jsonl, the
+fold the engine also keeps while it runs; `EvolutionEngine.run()` returns
+the best Candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import TextIO, get_args, get_type_hints
 import numpy as np
 
 from cdeoh import dsl, llm, problems
-from cdeoh.evolution import BudgetExhaustedError, EvolutionConfig, EvolutionEngine
+from cdeoh.evolution import BudgetExhaustedError, EvolutionConfig, EvolutionEngine, RunState
 from cdeoh.llm import ProviderConfig, ProviderError
 from cdeoh.problems import BenchmarkSuite, CandidateFailure
 
@@ -172,11 +175,17 @@ class RunLogWriter:
 def parse_events(text: str, source: str) -> list[dict]:
     events = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        if line.strip():
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
+        if not line.strip():
+            continue
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
+        if not (isinstance(event, dict) and event.get("event") in EVENT_TYPES
+                and isinstance(event.get("payload"), dict)):
+            raise ValueError(f"{source}:{lineno}: not an event: want an object with an"
+                             f" `event` of {', '.join(EVENT_TYPES)} and an object `payload`")
+        events.append(event)
     return events
 
 
@@ -189,19 +198,16 @@ def strip_timestamps(events) -> list[dict]:
 
 
 # --------------------------------------------------------------------------
-# Summary derivation (pure function of the event stream)
+# Summary derivation (pure function of the event stream's fold)
 # --------------------------------------------------------------------------
 
 SUMMARY_COLUMNS = ("generation", "samples_used", "cumulative_samples", "offspring_added",
                    "best_fitness", "best_gap_percent", "new_categories", "category_histogram")
 
 
-def summary_rows_from_events(events) -> list[dict]:
+def summary_rows(state: RunState) -> list[dict]:
     rows = []
-    for e in events:
-        if e["event"] != "generation-summary":
-            continue
-        p = e["payload"]
+    for p in state.summaries:
         rows.append({
             "generation": p["generation"],
             "samples_used": p["samples_used"],
@@ -215,27 +221,11 @@ def summary_rows_from_events(events) -> list[dict]:
     return rows
 
 
-def write_summary_csv(path: Path, events) -> None:
+def write_summary_csv(path: Path, state: RunState) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
-        writer.writerows(summary_rows_from_events(events))
-
-
-def best_candidate_from_events(events) -> dict:
-    best = None
-    for e in events:
-        if e["event"] != "evaluation":
-            continue
-        p = e["payload"]
-        if "candidate_id" not in p:
-            continue
-        key = (-p["fitness"], p["candidate_id"])
-        if best is None or key < (-best["fitness"], best["candidate_id"]):
-            best = p
-    if best is None:
-        raise ConfigError("run produced no evaluated candidates")
-    return best
+        writer.writerows(summary_rows(state))
 
 
 # --------------------------------------------------------------------------
@@ -253,20 +243,22 @@ def _fresh_run_dir(output_dir: Path) -> Path:
     return path
 
 
-def _write_results(run_dir: Path, engine: EvolutionEngine) -> None:
+def _write_results(run_dir: Path) -> RunState:
     """Population snapshots of every completed generation, best.json when a
-    candidate exists, and summary.csv from the events written so far."""
-    for gen, population in enumerate(engine.populations):
-        snapshot = [c.__dict__ for c in population.members]
+    candidate exists, and summary.csv: the fold of the events written so far."""
+    state = RunState.from_events(read_events(run_dir / "events.jsonl"))
+    for gen, members in enumerate(state.populations):
+        snapshot = [c.__dict__ for c in members]
         (run_dir / f"population_gen{gen:03d}.json").write_text(
             json.dumps(snapshot, indent=2, sort_keys=True))
-    best = engine.best
+    best = state.best
     if best is not None:
         (run_dir / "best.json").write_text(json.dumps(
             {"thought": best.thought, "code": best.code,
              "category": best.category, "fitness": best.fitness},
             indent=2, sort_keys=True))
-    write_summary_csv(run_dir / "summary.csv", read_events(run_dir / "events.jsonl"))
+    write_summary_csv(run_dir / "summary.csv", state)
+    return state
 
 
 def cmd_run(config_path: str) -> int:
@@ -282,22 +274,20 @@ def cmd_run(config_path: str) -> int:
     if cfg.provider.provider == "scripted":
         shutil.copy(cfg.provider.transcript_path, run_dir / "transcript.jsonl")
 
-    engine = None
     try:
         with (run_dir / "events.jsonl").open("w") as fh:
-            engine = EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit)
-            best, stats = engine.run()
+            EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit).run()
     except (BudgetExhaustedError, ProviderError, ValueError) as e:
         # An aborted run still leaves what it evaluated before the error.
-        if engine is not None:
-            _write_results(run_dir, engine)
-            print(f"run dir: {run_dir}")
+        _write_results(run_dir)
+        print(f"run dir: {run_dir}")
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    _write_results(run_dir, engine)
+    state = _write_results(run_dir)
+    best = state.best
     print(f"run dir: {run_dir}")
-    print(f"samples used: {sum(s.samples_used for s in stats)}")
+    print(f"samples used: {state.samples}")
     fitness, gap = best.fitness + 0.0, -best.fitness + 0.0  # + 0.0 turns -0.0 into 0.0
     print(f"best fitness: {fitness:.6f} (gap {gap:.6f}%) category: {best.category}")
     return 0
@@ -461,31 +451,30 @@ def cmd_report(run_dir_arg: str) -> int:
         print("error: incomplete run: events.jsonl missing", file=sys.stderr)
         return 2
     try:
-        events = read_events(events_path)
+        state = RunState.from_events(read_events(events_path))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    rows = summary_rows_from_events(events)
-    if not rows:
+    if not state.summaries:
         print("error: incomplete run: no generation summaries logged", file=sys.stderr)
         return 2
-    write_summary_csv(run_dir / "report.csv", events)
+    write_summary_csv(run_dir / "report.csv", state)
 
-    best = best_candidate_from_events(events)
+    best = state.best
     lines = [
         "# Run report",
         "",
-        f"Best candidate: id {best['candidate_id']}, category `{best['category']}`,"
-        f" fitness {best['fitness']:.6f} (mean gap {-best['fitness']:.6f}%)",
+        f"Best candidate: id {best.id}, category `{best.category}`,"
+        f" fitness {best.fitness:.6f} (mean gap {-best.fitness:.6f}%)",
         "",
         "## Thought",
         "",
-        best["thought"],
+        best.thought,
         "",
         "## Code",
         "",
         "```",
-        best["code"],
+        best.code,
         "```",
         "",
         "## Per-setting gaps of the best candidate",
@@ -499,7 +488,7 @@ def cmd_report(run_dir_arg: str) -> int:
             labels = cfg.suite.build().labels
         except (ConfigError, ValueError):
             labels = None
-    gaps = best.get("instance_gaps", [])
+    gaps = state.instance_gaps[best.id]
     if labels and len(labels) == len(gaps):
         per_setting: dict[str, list[float]] = {}
         for label, gap in zip(labels, gaps):
@@ -510,7 +499,7 @@ def cmd_report(run_dir_arg: str) -> int:
         for i, gap in enumerate(gaps):
             lines.append(f"- instance {i}: {gap:.4f}%")
     lines += ["", "## Best-gap trajectory", ""]
-    for row in rows:
+    for row in summary_rows(state):
         lines.append(f"- generation {row['generation']}: best gap {row['best_gap_percent']}%"
                      f" ({row['cumulative_samples']} samples)")
     (run_dir / "report.md").write_text("\n".join(lines) + "\n", errors="replace")

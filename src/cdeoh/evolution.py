@@ -10,7 +10,6 @@ the rest.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -73,24 +72,58 @@ class Population:
         return Population(tuple(sorted(members, key=_rank_key)), capacity)
 
 
-class CategoryPool:
-    """Append-only set of discovered category labels with all-time counts."""
+class RunState:
+    """A run as a fold over its event stream: `apply` each event in order.
+
+    The engine folds the events it emits, and the CLI folds `events.jsonl`,
+    so a running, finished, aborted or recorded run gives the same state.
+    """
 
     def __init__(self):
-        self.counts: dict[str, int] = {}
+        self.candidates: dict[int, Candidate] = {}
+        self.instance_gaps: dict[int, list[float]] = {}
+        self.populations: list[tuple[Candidate, ...]] = []  # per completed generation, 0 = init
+        self.best: Candidate | None = None
+        self.category_counts: dict[str, int] = {}  # all-time members per label
+        self.category_generation: dict[str, int] = {}  # label -> generation it was first seen
+        self.samples = 0
+        self.summaries: list[dict] = []  # generation-summary payloads
+        self._selected: list[int] = []  # the last selection, committed at its summary
 
-    @property
-    def labels(self) -> set[str]:
-        return set(self.counts)
+    @classmethod
+    def from_events(cls, events: Iterable[dict]) -> "RunState":
+        state = cls()
+        for e in events:
+            state.apply(e["event"], e["payload"])
+        return state
 
-    def add(self, label: str) -> bool:
-        """Record one more member of `label`; True if the label is new."""
-        new = label not in self.counts
-        self.counts[label] = self.counts.get(label, 0) + 1
-        return new
-
-    def sorted_labels(self) -> tuple[str, ...]:
-        return tuple(sorted(self.counts))
+    def apply(self, event: str, payload: dict) -> None:
+        if event == "sample":
+            self.samples += 1
+        elif event == "category-new":
+            self.category_generation[payload["label"]] = payload["generation"]
+        elif event == "evaluation" and "candidate_id" in payload:
+            c = Candidate(
+                id=payload["candidate_id"], thought=payload["thought"], code=payload["code"],
+                category=payload["category"], fitness=payload["fitness"],
+                origin=payload["origin"], generation_born=payload["generation"],
+                parent_id=payload["parent_id"],
+                reflection_attempts=payload["reflection_attempts"],
+            )
+            self.candidates[c.id] = c
+            self.instance_gaps[c.id] = payload["instance_gaps"]
+            self.category_counts[c.category] = self.category_counts.get(c.category, 0) + 1
+            if self.best is None or _rank_key(c) < _rank_key(self.best):
+                self.best = c
+        elif event == "selection":
+            self._selected = payload["selected_ids"]
+        elif event == "generation-summary":
+            if payload["generation"] == 0:  # the initial population: every gen-0 survivor
+                members = [c for c in self.candidates.values() if c.generation_born == 0]
+            else:
+                members = [self.candidates[i] for i in self._selected]
+            self.populations.append(tuple(sorted(members, key=_rank_key)))
+            self.summaries.append(payload)
 
 
 @dataclass
@@ -120,34 +153,6 @@ class EvolutionConfig:
             self.max_generations = -(-self.max_samples // (2 * self.population_size))  # ceil
         if self.max_generations < 1:
             raise ValueError("max_generations must be >= 1")
-
-
-@dataclass(frozen=True)
-class GenerationStats:
-    generation: int            # 0 is initialization
-    samples_used: int          # provider generation calls in this phase
-    offspring_added: int       # evaluated candidates added (<= 2N per generation)
-    best_fitness: float        # all-time best, never decreases
-    category_histogram: dict[str, int]
-    new_categories: tuple[str, ...]
-
-
-class SampleBudget:
-    """Counter of candidate-producing provider calls."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def try_consume(self) -> bool:
-        if self.used >= self.limit:
-            return False
-        self.used += 1
-        return True
-
-    @property
-    def exhausted(self) -> bool:
-        return self.used >= self.limit
 
 
 # --------------------------------------------------------------------------
@@ -228,40 +233,42 @@ class EvolutionEngine:
             task_description=problems.task_description(suite.task),
             dsl_grammar=dsl.render_grammar(),
         )
-        self.budget = SampleBudget(config.max_samples)
-        self.pool = CategoryPool()
-        self._log = log or (lambda event, payload: None)
-        self._ids = itertools.count(1)
-        self._gen_new_categories: list[str] = []
-        self.populations: list[Population] = []  # one per generation, 0 = init
-        self.best: Candidate | None = None
+        self.state = RunState()
+        self._emit = log or (lambda event, payload: None)
 
     # ------------------------------------------------------------- plumbing
 
     def _ctx(self, **kw) -> PromptContext:
         return PromptContext(**self.base_ctx, **kw)
 
+    def _log(self, event: str, payload: dict) -> None:
+        self.state.apply(event, payload)
+        self._emit(event, payload)
+
     def _seed(self) -> int:
-        return self.config.rng_seed + self.budget.used
+        return self.config.rng_seed + self.state.samples
+
+    def _budget_spent(self) -> bool:
+        return self.state.samples >= self.config.max_samples
+
+    def _take_sample(self, kind: PromptKind, parent_id: int | None, generation: int) -> bool:
+        """Log one budgeted provider call; False, logging nothing, once the budget is spent."""
+        if self._budget_spent():
+            return False
+        self._log("sample", {"kind": kind.value, "sample_index": self.state.samples + 1,
+                             "parent_id": parent_id, "generation": generation})
+        return True
 
     def _categorize(self, thought: str, code: str) -> str:
         if not self.config.enable_categories:
             return NO_CATEGORY_LABEL
         ctx = self._ctx(parent_thought=thought, parent_code=code,
-                        known_categories=self.pool.sorted_labels(), seed=self._seed())
+                        known_categories=tuple(sorted(self.state.category_counts)),
+                        seed=self._seed())
         try:
             return llm.induce_category(self.provider, ctx)
         except llm.ProviderError:
             return UNCATEGORIZED
-
-    def _note_category(self, label: str, generation: int) -> None:
-        if self.pool.add(label):
-            self._gen_new_categories.append(label)
-            self._log("category-new", {"label": label, "generation": generation})
-
-    def _track_best(self, candidate: Candidate) -> None:
-        if self.best is None or _rank_key(candidate) < _rank_key(self.best):
-            self.best = candidate
 
     # ------------------------------------------------------------- pipeline
 
@@ -281,30 +288,24 @@ class EvolutionEngine:
                                      "origin": origin, "error": str(e)})
             return str(e)
         category = self._categorize(thought, code)
-        candidate = Candidate(
-            id=next(self._ids), thought=thought, code=code, category=category,
-            fitness=report.fitness, origin=origin, generation_born=generation,
-            parent_id=parent_id, reflection_attempts=reflection_attempts,
-        )
-        self._note_category(category, generation)
+        if category not in self.state.category_counts:
+            self._log("category-new", {"label": category, "generation": generation})
+        candidate_id = len(self.state.candidates) + 1
         self._log("evaluation", {
-            "generation": generation, "candidate_id": candidate.id, "origin": origin,
+            "generation": generation, "candidate_id": candidate_id, "origin": origin,
             "parent_id": parent_id, "category": category, "fitness": report.fitness,
             "gap_percent": report.gap_percent,
             "instance_gaps": [r.gap_percent for r in report.per_instance],
             "reflection_attempts": reflection_attempts,
             "thought": thought, "code": code,
         })
-        self._track_best(candidate)
-        return candidate
+        return self.state.candidates[candidate_id]
 
     def _sample(self, kind: PromptKind, ctx: PromptContext, origin: str,
                 parent_id: int | None, generation: int) -> Candidate | None:
         """One generation call plus, on failure, the reflection loop."""
-        if not self.budget.try_consume():
+        if not self._take_sample(kind, parent_id, generation):
             return None
-        self._log("sample", {"kind": kind.value, "sample_index": self.budget.used,
-                             "parent_id": parent_id, "generation": generation})
         prompt = llm.render_prompt(kind, ctx, self.provider.config.max_prompt_bytes)
         raw = self.provider.complete(prompt, seed=ctx.seed,
                                      temperature=self.provider.config.temperature)
@@ -331,14 +332,11 @@ class EvolutionEngine:
                                      "attempt": 0, "outcome": "disabled", "error": error})
             return None
         for attempt in range(1, budget_b + 1):
-            if not self.budget.try_consume():
+            if not self._take_sample(PromptKind.REFLECTION, parent_id, generation):
                 self._log("reflection", {"generation": generation, "parent_id": parent_id,
                                          "attempt": attempt, "outcome": "abandoned",
                                          "error": "sample budget exhausted"})
                 return None
-            self._log("sample", {"kind": PromptKind.REFLECTION.value,
-                                 "sample_index": self.budget.used,
-                                 "parent_id": parent_id, "generation": generation})
             ctx = self._ctx(parent_thought=thought, parent_code=code,
                             error_message=error, seed=self._seed())
             try:
@@ -369,17 +367,15 @@ class EvolutionEngine:
         n = self.config.population_size
         members: list[Candidate] = []
         while len(members) < n:
-            if self.budget.exhausted:
+            if self._budget_spent():
                 raise BudgetExhaustedError(
-                    f"sample budget ({self.budget.limit}) exhausted with only "
+                    f"sample budget ({self.config.max_samples}) exhausted with only "
                     f"{len(members)} of {n} initial candidates")
             candidate = self._sample(PromptKind.INITIALIZATION, self._ctx(seed=self._seed()),
                                      origin="init", parent_id=None, generation=0)
             if candidate is not None:
                 members.append(candidate)
-        population = Population.ranked(members, capacity=n)
-        self.populations.append(population)
-        return population
+        return Population.ranked(members, capacity=n)
 
     def sample_offspring(self, parent: Candidate, generation: int) -> list[Candidate]:
         """One refinement and one innovation from `parent`; 0..2 survivors."""
@@ -394,58 +390,43 @@ class EvolutionEngine:
                 out.append(candidate)
         return out
 
-    def run(self) -> tuple[Candidate, list[GenerationStats]]:
+    def run(self) -> Candidate:
+        """Initialize, then evolve until the budget or `max_generations` ends; the best Candidate."""
         cfg = self.config
-        stats: list[GenerationStats] = []
-        self._gen_new_categories = []
         population = self.initialize()
-        stats.append(self._summarize(0, samples_before=0, offspring=len(population.members),
-                                     population=population))
+        self._summarize(0, len(population.members), population)
         generation = 0
-        while not self.budget.exhausted and generation < cfg.max_generations:
+        while not self._budget_spent() and generation < cfg.max_generations:
             generation += 1
-            samples_before = self.budget.used
-            self._gen_new_categories = []
             offspring: list[Candidate] = []
             for parent in population.members:
-                if self.budget.exhausted:
+                if self._budget_spent():
                     break
                 offspring.extend(self.sample_offspring(parent, generation))
             candidates = list(population.members) + offspring
             population = select_next_generation(candidates, cfg)
-            self.populations.append(population)
             self._log("selection", {
                 "generation": generation,
                 "candidate_ids": [c.id for c in candidates],
                 "selected_ids": [c.id for c in population.members],
             })
-            stats.append(self._summarize(generation, samples_before, len(offspring), population))
-        assert self.best is not None
-        return self.best, stats
+            self._summarize(generation, len(offspring), population)
+        return self.state.best
 
-    def _summarize(self, generation: int, samples_before: int, offspring: int,
-                   population: Population) -> GenerationStats:
+    def _summarize(self, generation: int, offspring: int, population: Population) -> None:
+        state = self.state
         histogram: dict[str, int] = {}
         for c in population.members:
             histogram[c.category] = histogram.get(c.category, 0) + 1
-        assert self.best is not None
-        gs = GenerationStats(
-            generation=generation,
-            samples_used=self.budget.used - samples_before,
-            offspring_added=offspring,
-            best_fitness=self.best.fitness,
-            category_histogram=histogram,
-            new_categories=tuple(self._gen_new_categories),
-        )
+        samples_before = state.summaries[-1]["cumulative_samples"] if state.summaries else 0
         self._log("generation-summary", {
-            "generation": gs.generation,
-            "samples_used": gs.samples_used,
-            "cumulative_samples": self.budget.used,
-            "offspring_added": gs.offspring_added,
-            "best_fitness": gs.best_fitness,
-            "best_candidate_id": self.best.id,
-            "category_histogram": gs.category_histogram,
-            "new_categories": list(gs.new_categories),
+            "generation": generation,
+            "samples_used": state.samples - samples_before,
+            "cumulative_samples": state.samples,
+            "offspring_added": offspring,
+            "best_fitness": state.best.fitness,
+            "best_candidate_id": state.best.id,
+            "category_histogram": histogram,
+            "new_categories": [label for label, g in state.category_generation.items()
+                               if g == generation],
         })
-        return gs
-

@@ -169,7 +169,8 @@ def gen_obp(seed: int, n_items: int, capacity: int,
     if shape <= 0 or scale <= 0:
         raise ValueError("shape and scale must be positive")
     rng = np.random.default_rng(seed)
-    raw = rng.weibull(shape, n_items) * scale
+    with np.errstate(over="ignore"):  # a huge scale gives inf, clipped to capacity below
+        raw = rng.weibull(shape, n_items) * scale
     items = np.clip(np.ceil(raw), 1, capacity).astype(int)
     return ObpInstance(capacity=capacity, items=tuple(int(x) for x in items))
 

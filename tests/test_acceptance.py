@@ -265,7 +265,7 @@ def test_acceptance_reflection_loop(tmp_path):
     pop2 = engine2.initialize()
     assert provider2.calls_made("reflection") == 0
     assert all(c.origin == "init" for c in pop2.members)
-    assert engine2.budget.used == 2  # broken attempt abandoned, then one viable
+    assert engine2.state.samples == 2  # broken attempt abandoned, then one viable
     _pass("reflection loop: repair attribution and noreflection ablation", t0, 5.0)
 
 
@@ -303,7 +303,7 @@ def test_acceptance_category_pool_growth_and_ablation(tmp_path):
     engine = EvolutionEngine(cfg, provider, ladder_suite(),
                              log=lambda e, p: events.append((e, p)))
     engine.run()
-    assert engine.pool.labels == {"alpha", "beta", "gamma", "delta", "epsilon"}
+    assert set(engine.state.category_counts) == {"alpha", "beta", "gamma", "delta", "epsilon"}
 
     # every post-selection population retains the top-4 categories' elites,
     # recomputed independently from the logged candidate sets
@@ -377,8 +377,9 @@ def test_acceptance_monotone_best(tmp_path):
         d = tmp_path / name
         d.mkdir()
         provider = tb.provider(d)
-        _, stats = EvolutionEngine(EvolutionConfig(**cfg_kw), provider, ladder_suite()).run()
-        fits = [s.best_fitness for s in stats]
+        engine = EvolutionEngine(EvolutionConfig(**cfg_kw), provider, ladder_suite())
+        engine.run()
+        fits = [s["best_fitness"] for s in engine.state.summaries]
         assert fits == sorted(fits), name
     _pass("monotone best-fitness trajectory across all scripted runs", t0, 10.0)
 
@@ -404,7 +405,7 @@ def test_acceptance_live_smoke():
         engine.run()
     except BudgetExhaustedError:
         pass  # some candidates may be invalid; the smoke only needs one survivor
-    assert engine.best is not None
-    assert math.isfinite(engine.best.fitness)
-    print(f"live smoke best gap: {-engine.best.fitness:.3f}%")
+    assert engine.state.best is not None
+    assert math.isfinite(engine.state.best.fitness)
+    print(f"live smoke best gap: {-engine.state.best.fitness:.3f}%")
     _pass("live smoke (20 samples, 1kC100)", t0, 600.0)

@@ -16,17 +16,24 @@ from hypothesis import strategies as st
 
 from cdeoh import dsl, llm, problems
 from cdeoh.cli import (
+    SUMMARY_COLUMNS,
     ConfigError,
-    best_candidate_from_events,
     load_run_config,
     main,
     read_events,
     strip_timestamps,
-    summary_rows_from_events,
+    summary_rows,
 )
+from cdeoh.evolution import RunState
 from cdeoh.llm import wrap_generation
 
-from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder, ladder_response
+from conftest import (
+    BROKEN_CODE_RESPONSE,
+    LADDER_CAPACITY,
+    LADDER_ITEMS,
+    TranscriptBuilder,
+    ladder_response,
+)
 from test_evolution import three_gen_transcript
 from test_llm import MALFORMED_TRANSCRIPT_LINES
 
@@ -209,12 +216,54 @@ def test_cmd_run_aborted_by_provider_error_writes_what_exists(tmp_path, capsys):
     events = read_events(run_dir / "events.jsonl")
     population = json.loads((run_dir / "population_gen000.json").read_text())
     assert sorted(c["id"] for c in population) == [1, 2]
-    want = best_candidate_from_events(events)
+    want = RunState.from_events(events).best
     best = json.loads((run_dir / "best.json").read_text())
-    assert best == {k: want[k] for k in ("thought", "code", "category", "fitness")}
+    assert best == {k: getattr(want, k) for k in ("thought", "code", "category", "fitness")}
     rows = list(csv.DictReader((run_dir / "summary.csv").open()))
     assert [r["generation"] for r in rows] == ["0"]
-    assert rows[0]["best_fitness"] == repr(float(want["fitness"]))
+    assert rows[0]["best_fitness"] == repr(float(want.fitness))
+
+
+def _reflecting_transcript() -> TranscriptBuilder:
+    """three_gen_transcript with generation 2's first refinement broken and
+    repaired by the second reflection."""
+    tb = TranscriptBuilder()
+    for kind, index, response in three_gen_transcript().entries:
+        tb.add(kind, BROKEN_CODE_RESPONSE if (kind, index) == ("refinement", 2) else response)
+    return tb.add_many("reflection", [BROKEN_CODE_RESPONSE, ladder_response(1)])
+
+
+@pytest.mark.parametrize("missing, completed", [
+    pytest.param(("initialization", 1), [], id="initialization"),
+    pytest.param(("refinement", 1), [0], id="mid-generation"),
+    pytest.param(("reflection", 1), [0, 1], id="reflection-loop"),
+])
+def test_aborted_run_artifacts_are_the_fold_of_its_events(tmp_path, capsys, missing,
+                                                          completed):
+    tb = _reflecting_transcript()
+    tb.entries = [e for e in tb.entries if e[:2] != missing]  # later indices stay as they were
+    assert main(["run", str(write_run_config(tmp_path, tb))]) == 1
+    assert capsys.readouterr().err.startswith("error: provider error [transcript-miss]")
+    run_dir = single_run_dir(tmp_path)
+    events = read_events(run_dir / "events.jsonl")
+    state = RunState.from_events(events)
+    assert [s["generation"] for s in state.summaries] == completed
+    assert (events[-1]["event"], events[-1]["payload"]["kind"]) == ("sample", missing[0])
+    assert state.best is not None
+    snapshots = sorted(run_dir.glob("population_gen*.json"))
+    assert [p.name for p in snapshots] == [f"population_gen{s['generation']:03d}.json"
+                                           for s in state.summaries]
+    for path, members in zip(snapshots, state.populations):
+        assert json.loads(path.read_text()) == [c.__dict__ for c in members]
+    best = json.loads((run_dir / "best.json").read_text())
+    assert best == {k: getattr(state.best, k) for k in ("thought", "code", "category", "fitness")}
+    if state.summaries:
+        assert main(["report", str(run_dir)]) == 0
+        assert (run_dir / "report.csv").read_text() == (run_dir / "summary.csv").read_text()
+    else:  # aborted during initialization: no generation to report
+        assert main(["report", str(run_dir)]) == 2
+        assert (run_dir / "summary.csv").read_text().splitlines() == [",".join(SUMMARY_COLUMNS)]
+    capsys.readouterr()
 
 
 def test_lone_surrogate_in_a_response_does_not_end_the_run(tmp_path, capsys):
@@ -300,17 +349,32 @@ def test_cmd_replay_missing_events(tmp_path):
     assert main(["replay", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("command", ["replay", "report"])
-def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command):
+_NOT_AN_EVENT = {"number": "5", "list": "[]", "empty": "{}",
+                 "unknown-event": '{"event": "nope", "payload": {}}',
+                 "payload-not-object": '{"event": "sample", "payload": 5}',
+                 "event-not-string": '{"event": ["sample"], "payload": {}}'}
+
+
+@pytest.mark.parametrize("command, line", [
+    *(pytest.param(command, None, id=command) for command in ("replay", "report")),
+    *(pytest.param(command, line, id=f"{command}-{name}")
+      for command in ("replay", "report") for name, line in _NOT_AN_EVENT.items()),
+])
+def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command, line):
+    """A line cut short by a crash (line None), or valid JSON that is not an event."""
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
     assert main(["run", str(cfg_path)]) == 0
     events = single_run_dir(tmp_path) / "events.jsonl"
     text = events.read_text()
-    events.write_text(text[:-20])  # a run that crashed mid-line
+    if line is None:
+        events.write_text(text[:-20])  # a run that crashed mid-line
+        where = f"{events}:{text.count(chr(10))}: invalid JSON: "
+    else:
+        events.write_text(text + line + "\n")
+        where = f"{events}:{text.count(chr(10)) + 1}: not an event: "
     capsys.readouterr()
     assert main([command, str(events.parent)]) == 2
     err = capsys.readouterr().err
-    where = f"{events}:{text.count(chr(10))}: invalid JSON: "
     assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
 
 
@@ -343,7 +407,7 @@ def test_summary_recomputable_from_events_alone(tmp_path):
     assert main(["run", str(cfg_path)]) == 0
     run_dir = single_run_dir(tmp_path)
     events = read_events(run_dir / "events.jsonl")
-    rows = summary_rows_from_events(events)
+    rows = summary_rows(RunState.from_events(events))
     with (run_dir / "summary.csv").open() as fh:
         on_disk = list(csv.DictReader(fh))
     assert [dict(r) for r in on_disk] == [{k: str(v) for k, v in row.items()} for row in rows]
@@ -613,11 +677,17 @@ def _checked_run(tmp_path: Path, transcript: TranscriptBuilder, mutations) -> Pa
         assert stderr.startswith(("error: provider error [transcript-miss]",
                                   "error: sample budget")), stderr
     run_dir = single_run_dir(tmp_path)
-    for event in read_events(run_dir / "events.jsonl"):
+    events = read_events(run_dir / "events.jsonl")
+    for event in events:
         payload = event["payload"]
         if event["event"] == "evaluation":
             assert (math.isfinite(payload["fitness"]) if "fitness" in payload
                     else "\n" not in payload["error"]), payload
+    # the artifacts are the fold of the events, finished run or aborted
+    assert (len(list(run_dir.glob("population_gen*.json")))
+            == sum(e["event"] == "generation-summary" for e in events))
+    assert (run_dir / "best.json").exists() == any(
+        e["event"] == "evaluation" and "candidate_id" in e["payload"] for e in events)
     return run_dir if rc == 0 else None
 
 

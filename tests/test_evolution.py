@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from cdeoh.evolution import (
     BudgetExhaustedError,
     Candidate,
-    CategoryPool,
     EvolutionConfig,
     EvolutionEngine,
     Population,
+    RunState,
     joint_score,
     select_next_generation,
 )
@@ -172,13 +172,45 @@ def test_candidate_invariants():
         cand(1, 0.0, category="")
 
 
+def evaluation(i, category, generation=0, fitness=-1.0):
+    return ("evaluation", {"generation": generation, "candidate_id": i, "origin": "init",
+                           "parent_id": None, "category": category, "fitness": fitness,
+                           "gap_percent": -fitness, "instance_gaps": [-fitness],
+                           "reflection_attempts": 0, "thought": f"t{i}", "code": "return 0"})
+
+
 def test_category_pool_append_only():
-    pool = CategoryPool()
-    assert pool.add("greedy") is True
-    assert pool.add("greedy") is False
-    assert pool.add("dp") is True
-    assert pool.counts == {"greedy": 2, "dp": 1}
-    assert pool.sorted_labels() == ("dp", "greedy")
+    events = [("category-new", {"label": "greedy", "generation": 0}),
+              evaluation(1, "greedy"),
+              evaluation(2, "greedy"),
+              ("category-new", {"label": "dp", "generation": 1}),
+              evaluation(3, "dp", generation=1)]
+    states = [RunState.from_events({"event": e, "payload": p} for e, p in events[:k])
+              for k in range(len(events) + 1)]
+    for before, after in zip(states, states[1:]):  # labels are only ever added
+        assert set(before.category_counts) <= set(after.category_counts)
+        assert before.category_generation.items() <= after.category_generation.items()
+    state = states[-1]
+    assert state.category_counts == {"greedy": 2, "dp": 1}
+    assert state.category_generation == {"greedy": 0, "dp": 1}
+
+
+def test_run_state_fold_of_a_hand_written_run():
+    events = [("sample", {}), evaluation(1, "a", fitness=-3.0),
+              ("sample", {}), ("evaluation", {"generation": 0, "error": "bad"}),
+              ("sample", {}), evaluation(2, "b", fitness=-2.0),
+              ("generation-summary", {"generation": 0}),
+              ("sample", {}), evaluation(3, "a", generation=1, fitness=-2.0),
+              ("selection", {"generation": 1, "candidate_ids": [2, 1, 3],
+                             "selected_ids": [2, 3]}),
+              ("generation-summary", {"generation": 1})]
+    state = RunState.from_events({"event": e, "payload": p} for e, p in events)
+    assert state.samples == 4
+    assert sorted(state.candidates) == [1, 2, 3]
+    assert [[c.id for c in members] for members in state.populations] == [[2, 1], [2, 3]]
+    assert state.best.id == 2  # ties on fitness go to the lower id
+    assert state.instance_gaps[3] == [2.0]
+    assert state.summaries == [{"generation": 0}, {"generation": 1}]
 
 
 def test_config_defaults_and_validation():
@@ -211,7 +243,7 @@ def test_initialize_scripted_population(scripted):
     assert pop.members[0].fitness == ladder_fitness(0)
     assert {c.category for c in pop.members} == {"greedy", "balance", "threshold"}
     assert all(c.origin == "init" for c in pop.members)
-    assert engine.budget.used == 3
+    assert engine.state.samples == 3
 
 
 def test_initialize_default_population_of_ten(scripted):
@@ -242,7 +274,7 @@ def test_initialize_with_reflection_repair(scripted):
     assert len(repaired) == 1
     assert repaired[0].reflection_attempts == 1
     assert repaired[0].thought == "repaired"
-    assert engine.budget.used == 4  # 3 init samples + 1 reflection sample
+    assert engine.state.samples == 4  # 3 init samples + 1 reflection sample
 
 
 def test_initialize_budget_exhausted_on_broken_transcript(scripted):
@@ -252,7 +284,7 @@ def test_initialize_budget_exhausted_on_broken_transcript(scripted):
     engine = EvolutionEngine(config(reflection_budget=0, max_samples=5), provider, ladder_suite())
     with pytest.raises(BudgetExhaustedError):
         engine.initialize()
-    assert engine.budget.used == 5
+    assert engine.state.samples == 5
 
 
 def test_initialize_max_samples_one(scripted):
@@ -281,7 +313,7 @@ def test_sample_offspring_both_valid(scripted):
     assert len(kids) == 2
     assert all(k.parent_id == parent.id for k in kids)
     assert [k.origin for k in kids] == ["refinement", "innovation"]
-    assert engine.budget.used == 3
+    assert engine.state.samples == 3
 
 
 def test_sample_offspring_repair_counts_attempts(scripted):
@@ -299,7 +331,7 @@ def test_sample_offspring_repair_counts_attempts(scripted):
     assert repaired.origin == "reflection-repair"
     assert repaired.reflection_attempts == 2
     # 1 init + refinement + innovation + 2 reflections
-    assert engine.budget.used == 5
+    assert engine.state.samples == 5
 
 
 def test_sample_offspring_abandoned_beyond_budget(scripted):
@@ -313,7 +345,7 @@ def test_sample_offspring_abandoned_beyond_budget(scripted):
     kids = engine.sample_offspring(parent, generation=1)
     assert kids == []
     # 2 + 2B samples consumed by the failed pair, plus the single init sample
-    assert engine.budget.used == 1 + 2 + 2 * b
+    assert engine.state.samples == 1 + 2 + 2 * b
     assert provider.calls_made("reflection") == 2 * b
 
 
@@ -321,10 +353,10 @@ def test_reflection_disabled_consumes_nothing(scripted):
     tb = init_transcript(1, cats=("greedy",))
     engine, provider = seeded_engine(scripted, tb, population_size=1, enable_reflection=False)
     engine.initialize()
-    used_before = engine.budget.used
+    used_before = engine.state.samples
     out = engine.try_reflect("t", "return frobnicate(item)", "some error")
     assert out is None
-    assert engine.budget.used == used_before
+    assert engine.state.samples == used_before
     assert provider.calls_made("reflection") == 0
 
 
@@ -371,20 +403,23 @@ def test_run_evolution_three_generations(scripted):
     events = []
     provider = scripted(three_gen_transcript())
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=100)
-    best, stats = EvolutionEngine(cfg, provider, ladder_suite(),
-                                  log=lambda e, p: events.append((e, p))).run()
+    engine = EvolutionEngine(cfg, provider, ladder_suite(),
+                             log=lambda e, p: events.append((e, p)))
+    best = engine.run()
+    stats = engine.state.summaries
     assert best.fitness == ladder_fitness(0)
+    assert best == engine.state.best
     assert len(stats) == 4  # init + 3 generations
-    assert [s.generation for s in stats] == [0, 1, 2, 3]
+    assert [s["generation"] for s in stats] == [0, 1, 2, 3]
     # monotone best
-    fits = [s.best_fitness for s in stats]
+    fits = [s["best_fitness"] for s in stats]
     assert fits == sorted(fits)
     # offspring cap
     for s in stats[1:]:
-        assert s.offspring_added <= 2 * cfg.population_size
+        assert s["offspring_added"] <= 2 * cfg.population_size
     # budget accounting: generation calls == sum of samples_used
     n_samples = sum(1 for e, _ in events if e == "sample")
-    assert n_samples == sum(s.samples_used for s in stats)
+    assert n_samples == sum(s["samples_used"] for s in stats) == engine.state.samples
     assert n_samples <= cfg.max_samples + 1
 
 
@@ -396,9 +431,10 @@ def test_run_evolution_is_deterministic(scripted, tmp_path):
         d.mkdir()
         provider = three_gen_transcript().provider(d)
         events = []
-        best, stats = EvolutionEngine(cfg, provider, ladder_suite(),
-                                      log=lambda e, p: events.append((e, p))).run()
-        return best, stats, events
+        engine = EvolutionEngine(cfg, provider, ladder_suite(),
+                                 log=lambda e, p: events.append((e, p)))
+        best = engine.run()
+        return best, engine.state.summaries, events
 
     best1, stats1, ev1 = one_run("a")
     best2, stats2, ev2 = one_run("b")
@@ -411,14 +447,15 @@ def test_run_evolution_category_pool_growth(scripted):
     provider = scripted(three_gen_transcript())
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=100)
     engine = EvolutionEngine(cfg, provider, ladder_suite())
-    best, stats = engine.run()
-    assert engine.pool.labels == {"cat-a", "cat-b", "cat-c", "cat-d", "cat-e"}
+    engine.run()
+    labels = set(engine.state.category_counts)
+    assert labels == {"cat-a", "cat-b", "cat-c", "cat-d", "cat-e"}
     # pool is append-only: every generation's new categories are disjoint
     seen = set()
-    for s in stats:
-        assert not (set(s.new_categories) & seen)
-        seen |= set(s.new_categories)
-    assert seen == engine.pool.labels
+    for s in engine.state.summaries:
+        assert not (set(s["new_categories"]) & seen)
+        seen |= set(s["new_categories"])
+    assert seen == labels
 
 
 def test_run_evolution_nocategory_reduces_to_pure_fitness(scripted, tmp_path):
@@ -432,7 +469,8 @@ def test_run_evolution_nocategory_reduces_to_pure_fitness(scripted, tmp_path):
                              log=lambda e, p: events.append((e, p)))
     engine.run()
     assert provider.calls_made("category-induction") == 0
-    assert all(c.category == "all" for p in engine.populations for c in p.members)
+    assert engine.state.populations
+    assert all(c.category == "all" for members in engine.state.populations for c in members)
     # every selection equals the top-N oracle over its candidate set
     by_id = {}
     for e, p in events:
@@ -449,10 +487,12 @@ def test_run_evolution_nocategory_reduces_to_pure_fitness(scripted, tmp_path):
 def test_run_evolution_budget_cuts_generation(scripted):
     cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=4)
     provider = scripted(three_gen_transcript())
-    best, stats = EvolutionEngine(cfg, provider, ladder_suite()).run()
+    engine = EvolutionEngine(cfg, provider, ladder_suite())
+    engine.run()
+    stats = engine.state.summaries
     # 2 init samples + 2 offspring samples, then the budget stops everything
-    assert sum(s.samples_used for s in stats) == 4
-    assert stats[-1].generation <= 3
+    assert sum(s["samples_used"] for s in stats) == 4
+    assert stats[-1]["generation"] <= 3
 
 
 def test_run_evolution_reuses_cached_fitness(scripted):

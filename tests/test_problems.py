@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,13 @@ def test_gen_obp_large_setting():
     inst = gen_obp(seed=2, n_items=10000, capacity=500)
     assert len(inst.items) == 10000
     assert all(1 <= x <= 500 for x in inst.items)
+
+
+def test_gen_obp_huge_scale_clips_to_capacity_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inst = gen_obp(seed=1, n_items=1000, capacity=100, shape=3.0, scale=1e308)
+    assert inst.items == (100,) * 1000
 
 
 def test_gen_obp_invalid_params():

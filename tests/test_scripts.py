@@ -1,4 +1,5 @@
-"""Smoke tests: the scripts under scripts/ run end to end against the package."""
+"""Smoke tests: the scripts under scripts/ run end to end against the package,
+and the names the package and the benchmark rely on resolve."""
 
 import importlib.util
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import cdeoh
 from cdeoh import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,6 +37,13 @@ def test_benchmark_trace_hooks_resolve(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve():
+    """`from cdeoh import *` works and binds every name `cdeoh.__all__` exports."""
+    namespace = {}
+    exec("from cdeoh import *", namespace)
+    assert set(cdeoh.__all__) <= set(namespace)
 
 
 def test_benchmark_suites_build(monkeypatch):
