@@ -77,6 +77,8 @@ class RunState:
 
     The engine folds the events it emits, and the CLI folds `events.jsonl`,
     so a running, finished, aborted or recorded run gives the same state.
+    It keeps every evaluated candidate until the run ends, so its memory
+    grows with the samples drawn (about 0.5 KB each), not with the population.
     """
 
     def __init__(self):

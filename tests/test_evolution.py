@@ -246,6 +246,25 @@ def test_initialize_scripted_population(scripted):
     assert engine.state.samples == 3
 
 
+def test_category_induction_lists_known_labels_sorted(scripted):
+    provider = scripted(init_transcript(cats=("greedy", "dp", "threshold")))
+    prompts = []
+    complete = provider.complete
+
+    def recording_complete(prompt, **kw):
+        prompts.append(prompt)
+        return complete(prompt, **kw)
+
+    provider.complete = recording_complete
+    EvolutionEngine(config(), provider, ladder_suite()).initialize()
+    induction = [p for p in prompts if "Known categories so far:" in p]
+    assert len(induction) == 3
+    assert "Known categories so far:\n  (none yet)\n" in induction[0]
+    assert "Known categories so far:\n  - greedy\n" in induction[1]
+    # labels arrived as greedy, dp; the prompt lists them sorted
+    assert "Known categories so far:\n  - dp\n  - greedy\n" in induction[2]
+
+
 def test_initialize_default_population_of_ten(scripted):
     tb = TranscriptBuilder()
     tb.add_many("initialization", [ladder_response(t % 6) for t in range(10)])
