@@ -185,6 +185,10 @@ def parse_events(text: str, source: str) -> list[dict]:
                 and isinstance(event.get("payload"), dict)):
             raise ValueError(f"{source}:{lineno}: not an event: want an object with an"
                              f" `event` of {', '.join(EVENT_TYPES)} and an object `payload`")
+        missing = RunState.missing_keys(event["event"], event["payload"])
+        if missing:
+            raise ValueError(f"{source}:{lineno}: not an event: {event['event']} payload"
+                             f" lacks {', '.join(missing)}")
         events.append(event)
     return events
 

@@ -406,7 +406,9 @@ def parse(source: str, inputs: Mapping[str, Kind] | None = None) -> Program:
 
 
 # --------------------------------------------------------------------------
-# Pretty printer (internal helper; used by tests and random-program tooling)
+# Pretty printer: the engine's per-run score-cache key.  It is exact: two
+# parsed programs print alike only if they are the same tree, because
+# literals print with `repr` and every non-atom operand is parenthesized.
 # --------------------------------------------------------------------------
 
 def _fmt_number(x: float) -> str:

@@ -81,6 +81,18 @@ class RunState:
     grows with the samples drawn (about 0.5 KB each), not with the population.
     """
 
+    # The payload keys that `apply` and the summary rows read, per event; an
+    # `evaluation` without a `candidate_id` (a failure) is read for nothing.
+    PAYLOAD_KEYS = {
+        "category-new": ("label", "generation"),
+        "evaluation": ("generation", "origin", "parent_id", "category", "fitness",
+                       "instance_gaps", "reflection_attempts", "thought", "code"),
+        "selection": ("selected_ids",),
+        "generation-summary": ("generation", "samples_used", "cumulative_samples",
+                               "offspring_added", "best_fitness", "new_categories",
+                               "category_histogram"),
+    }
+
     def __init__(self):
         self.candidates: dict[int, Candidate] = {}
         self.instance_gaps: dict[int, list[float]] = {}
@@ -91,6 +103,12 @@ class RunState:
         self.samples = 0
         self.summaries: list[dict] = []  # generation-summary payloads
         self._selected: list[int] = []  # the last selection, committed at its summary
+
+    @classmethod
+    def missing_keys(cls, event: str, payload: dict) -> list[str]:
+        if event == "evaluation" and "candidate_id" not in payload:
+            return []
+        return [k for k in cls.PAYLOAD_KEYS.get(event, ()) if k not in payload]
 
     @classmethod
     def from_events(cls, events: Iterable[dict]) -> "RunState":
@@ -236,6 +254,11 @@ class EvolutionEngine:
             dsl_grammar=dsl.render_grammar(),
         )
         self.state = RunState()
+        # Each distinct tree is simulated once per run: its EvalReport or
+        # CandidateFailure text, keyed by the exact `dsl.pretty_print` (no
+        # algebra is normalised: IEEE arithmetic is not associative).  Memory:
+        # one EvalReport (one gap per instance) or message per distinct program.
+        self._scores: dict[str, problems.EvalReport | str] = {}
         self._emit = log or (lambda event, payload: None)
 
     # ------------------------------------------------------------- plumbing
@@ -276,19 +299,25 @@ class EvolutionEngine:
 
     def _attempt(self, thought: str, code: str, origin: str, parent_id: int | None,
                  generation: int, reflection_attempts: int = 0) -> Candidate | str:
-        """Compile + evaluate + categorize; returns the Candidate or an error string."""
+        """Compile + score (once per distinct tree) + categorize; the Candidate or an error."""
         try:
             program = dsl.parse(code, self.signature)
         except ParseError as e:
             self._log("evaluation", {"generation": generation, "parent_id": parent_id,
                                      "origin": origin, "error": str(e)})
             return str(e)
-        try:
-            report = problems.evaluate_candidate(self.suite, program)
-        except CandidateFailure as e:
+        key = dsl.pretty_print(program)
+        report = self._scores.get(key)
+        if report is None:
+            try:
+                report = problems.evaluate_candidate(self.suite, program)
+            except CandidateFailure as e:
+                report = str(e)
+            self._scores[key] = report
+        if isinstance(report, str):
             self._log("evaluation", {"generation": generation, "parent_id": parent_id,
-                                     "origin": origin, "error": str(e)})
-            return str(e)
+                                     "origin": origin, "error": report})
+            return report
         category = self._categorize(thought, code)
         if category not in self.state.category_counts:
             self._log("category-new", {"label": category, "generation": generation})

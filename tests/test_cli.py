@@ -352,7 +352,11 @@ def test_cmd_replay_missing_events(tmp_path):
 _NOT_AN_EVENT = {"number": "5", "list": "[]", "empty": "{}",
                  "unknown-event": '{"event": "nope", "payload": {}}',
                  "payload-not-object": '{"event": "sample", "payload": 5}',
-                 "event-not-string": '{"event": ["sample"], "payload": {}}'}
+                 "event-not-string": '{"event": ["sample"], "payload": {}}',
+                 "evaluation-lacks-keys":
+                     '{"seq": 0, "event": "evaluation", "payload": {"candidate_id": 1}}',
+                 "summary-lacks-keys":
+                     '{"seq": 0, "event": "generation-summary", "payload": {"generation": 0}}'}
 
 
 @pytest.mark.parametrize("command, line", [

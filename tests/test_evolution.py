@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdeoh import dsl, problems
 from cdeoh.evolution import (
     BudgetExhaustedError,
     Candidate,
@@ -15,12 +16,15 @@ from cdeoh.evolution import (
     joint_score,
     select_next_generation,
 )
+from cdeoh.llm import wrap_generation
+from cdeoh.problems import CandidateFailure
 
 from conftest import (
     BROKEN_CODE_RESPONSE,
     NO_CODE_RESPONSE,
     TranscriptBuilder,
     ladder_fitness,
+    ladder_program,
     ladder_response,
     ladder_suite,
 )
@@ -523,3 +527,62 @@ def test_run_evolution_reuses_cached_fitness(scripted):
     total = (provider.calls_made("initialization") + provider.calls_made("refinement")
              + provider.calls_made("innovation") + provider.calls_made("reflection"))
     assert total == 14
+
+
+def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, monkeypatch):
+    ladder_1 = ladder_program(1)
+    ladder_1_spaced = ("return where( ( cap_remaining>1 ),0-(cap_remaining -item) ,"
+                       "\n  log( 0-cap_remaining ) )")
+    tb = TranscriptBuilder()
+    tb.add("initialization", wrap_generation("a", ladder_1))
+    tb.add("initialization", wrap_generation("a, spaced", ladder_1_spaced))
+    # generation 1, parent 1
+    tb.add("refinement", wrap_generation("scalar", "return item"))  # CandidateFailure
+    tb.add("reflection", wrap_generation("scalar again", "return   item"))
+    tb.add("reflection", wrap_generation("worst fit", "return cap_remaining + item"))
+    tb.add("innovation", wrap_generation("worst fit, swapped", "return item + cap_remaining"))
+    # generation 1, parent 2
+    tb.add("refinement", wrap_generation("scalar", "return item"))
+    tb.add("reflection", wrap_generation("back to a", ladder_1))
+    tb.add("innovation", wrap_generation("b", ladder_program(2)))
+    tb.add_many("category-induction", ["x", "y", "x", "z", "y", "x"])
+    provider = scripted(tb)
+
+    parse, evaluate_candidate = dsl.parse, problems.evaluate_candidate
+    parsed, simulated = [], []
+
+    def recording_parse(code, inputs=None):
+        parsed.append(code)
+        return parse(code, inputs)
+
+    def counting_evaluate(suite, program):
+        simulated.append(dsl.pretty_print(program))
+        return evaluate_candidate(suite, program)
+
+    monkeypatch.setattr(dsl, "parse", recording_parse)
+    monkeypatch.setattr(problems, "evaluate_candidate", counting_evaluate)
+    events = []
+    cfg = config(population_size=2, elite_categories=2, max_generations=1, max_samples=100)
+    EvolutionEngine(cfg, provider, ladder_suite(), log=lambda e, p: events.append((e, p))).run()
+    monkeypatch.undo()
+
+    sig = problems.input_signature("obp")
+    keys = {dsl.pretty_print(dsl.parse(code, sig)) for code in parsed}
+    assert len(keys) == 5  # ladder 1 (3 copies), `item` (3), both sums, ladder 2
+    assert sorted(simulated) == sorted(keys)  # each distinct tree simulated once
+    assert provider.calls_made("category-induction") == 6  # every success is labelled
+    evaluations = [p for e, p in events if e == "evaluation"]
+    assert len(evaluations) == len(parsed) == 9
+    suite = ladder_suite()
+    for code, payload in zip(parsed, evaluations):
+        try:
+            want = problems.evaluate_candidate(suite, dsl.parse(code, sig))
+        except CandidateFailure as e:
+            assert payload["error"] == str(e)
+            continue
+        assert "error" not in payload
+        assert payload["fitness"].hex() == want.fitness.hex()
+        assert payload["gap_percent"].hex() == want.gap_percent.hex()
+        assert ([g.hex() for g in payload["instance_gaps"]]
+                == [r.gap_percent.hex() for r in want.per_instance])
+    assert sum("error" in p for p in evaluations) == 3
