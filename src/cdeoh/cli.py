@@ -173,7 +173,9 @@ class RunLogWriter:
 
 
 def parse_events(text: str, source: str) -> list[dict]:
+    """The events of `text`, each checked by folding it; ValueError naming the line."""
     events = []
+    state = RunState()
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -189,6 +191,10 @@ def parse_events(text: str, source: str) -> list[dict]:
         if missing:
             raise ValueError(f"{source}:{lineno}: not an event: {event['event']} payload"
                              f" lacks {', '.join(missing)}")
+        try:
+            state.apply(event["event"], event["payload"])
+        except ValueError as e:
+            raise ValueError(f"{source}:{lineno}: {e}") from None
         events.append(event)
     return events
 

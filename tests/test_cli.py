@@ -382,6 +382,37 @@ def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command,
     assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
 
 
+_EVALUATION = {"generation": 0, "candidate_id": 1, "origin": "init", "parent_id": None,
+               "category": "a", "fitness": -1.0, "gap_percent": 1.0, "instance_gaps": [1.0],
+               "reflection_attempts": 0, "thought": "t", "code": "return item"}
+_SUMMARY = {"generation": 0, "samples_used": 1, "cumulative_samples": 1, "offspring_added": 1,
+            "best_fitness": -1.0, "best_candidate_id": 1, "new_categories": ["a"],
+            "category_histogram": {"a": 1}}
+# Well-formed events that contradict the run before them (here: nothing).
+_INCONSISTENT_EVENT = {
+    "lone-summary": {"event": "generation-summary", "payload": _SUMMARY},
+    "selection-of-unknown-id": {"event": "selection",
+                                "payload": {"generation": 1, "candidate_ids": [7],
+                                            "selected_ids": [7]}},
+    "fitness-not-a-number": {"event": "evaluation", "payload": {**_EVALUATION, "fitness": "x"}},
+}
+
+
+@pytest.mark.parametrize("command, event", [
+    pytest.param(command, event, id=f"{command}-{name}")
+    for command in ("replay", "report") for name, event in _INCONSISTENT_EVENT.items()])
+def test_event_that_contradicts_the_run_is_one_line_and_exit_2(tmp_path, capsys, command,
+                                                              event):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    assert main(["run", str(cfg_path)]) == 0
+    events = single_run_dir(tmp_path) / "events.jsonl"
+    events.write_text(json.dumps({"seq": 0, **event}) + "\n")
+    capsys.readouterr()
+    assert main([command, str(events.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {events}:1: ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------- report
 
 def test_cmd_report_outputs(tmp_path):

@@ -1,12 +1,15 @@
 import math
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdeoh import dsl, problems
+from cdeoh import dsl, llm, problems
 from cdeoh.evolution import (
+    HANDOFF_MIN_S,
     BudgetExhaustedError,
     Candidate,
     EvolutionConfig,
@@ -16,7 +19,7 @@ from cdeoh.evolution import (
     joint_score,
     select_next_generation,
 )
-from cdeoh.llm import wrap_generation
+from cdeoh.llm import PromptKind, ProviderError, ScriptedProvider, wrap_generation
 from cdeoh.problems import CandidateFailure
 
 from conftest import (
@@ -586,3 +589,185 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
         assert ([g.hex() for g in payload["instance_gaps"]]
                 == [r.gap_percent.hex() for r in want.per_instance])
     assert sum("error" in p for p in evaluations) == 3
+
+
+# ---------------------------------------------------------------- engine: overlapped calls
+
+WAIT_S = 5.0  # bounds every wait between two provider calls, so a serial engine fails, not hangs
+
+
+def mixed_transcript() -> TranscriptBuilder:
+    """Two generations of 2 with parse failures, repairs, a repeated program and
+    a reflection loop that gives up."""
+    tb = TranscriptBuilder()
+    tb.add("initialization", ladder_response(3))
+    tb.add("initialization", NO_CODE_RESPONSE)
+    tb.add("reflection", ladder_response(4, thought="repaired"))
+    # generation 1
+    tb.add("refinement", ladder_response(2))
+    tb.add("innovation", BROKEN_CODE_RESPONSE)
+    tb.add("reflection", BROKEN_CODE_RESPONSE)
+    tb.add("reflection", ladder_response(1))
+    tb.add("refinement", ladder_response(5))
+    tb.add("innovation", ladder_response(0))
+    # generation 2
+    tb.add("refinement", ladder_response(1))
+    tb.add("innovation", BROKEN_CODE_RESPONSE)
+    tb.add_many("reflection", [BROKEN_CODE_RESPONSE] * 2)
+    tb.add("refinement", ladder_response(2))
+    tb.add("innovation", ladder_response(3))
+    tb.add_many("category-induction", ["greedy", "balance", "greedy", "threshold", "x",
+                                       "balance", "y", "greedy", "z", "threshold"])
+    return tb
+
+
+def mixed_config(**kw) -> EvolutionConfig:
+    return config(population_size=2, elite_categories=2, max_generations=2,
+                  reflection_budget=2, **kw)
+
+
+class ThreadedProvider(ScriptedProvider):
+    """A scripted provider that records what a concurrent engine does to it.
+
+    With `delay_seed` set, each call first sleeps a delay drawn from
+    (seed, kind, per-kind index), so it depends on the call, not its timing;
+    some delays fall below HANDOFF_MIN_S and some above.
+    """
+
+    def __init__(self, path, delay_seed: int | None = None):
+        super().__init__(path)
+        self.delay_seed = delay_seed
+        self.calls: dict[str, list[tuple[str, int, float | None]]] = {}  # kind -> (prompt, seed, temperature)
+        self.category_threads: list[threading.Thread] = []
+        self.in_flight: list[str] = []
+        self.max_in_flight = 0
+        self.same_kind_overlaps = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, seed=0, temperature=None):
+        kind = llm.prompt_kind_of(prompt).value
+        with self._lock:
+            self.same_kind_overlaps += kind in self.in_flight
+            self.in_flight.append(kind)
+            self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
+            index = len(self.calls.setdefault(kind, []))
+            self.calls[kind].append((prompt, seed, temperature))
+            if kind == PromptKind.CATEGORY_INDUCTION.value:
+                self.category_threads.append(threading.current_thread())
+        try:
+            if self.delay_seed is not None:
+                rng = random.Random(f"{self.delay_seed}:{kind}:{index}")
+                time.sleep(rng.uniform(HANDOFF_MIN_S / 2, 6 * HANDOFF_MIN_S))
+            return super().complete(prompt, seed=seed, temperature=temperature)
+        finally:
+            with self._lock:
+                self.in_flight.remove(kind)
+
+
+def logged_run(provider, cfg) -> list[tuple[str, dict]]:
+    events = []
+    EvolutionEngine(cfg, provider, ladder_suite(), log=lambda e, p: events.append((e, p))).run()
+    return events
+
+
+def test_category_call_overlaps_the_next_generation_call(tmp_path):
+    class FirstCategoryWaitsForGeneration(ScriptedProvider):
+        """The first category call returns once the second initialization call
+        has started; that call waits until the category call has started.
+        Generation calls are slow enough to be worth a handoff."""
+        overlapped = None
+
+        def complete(self, prompt, seed=0, temperature=None):
+            kind = llm.prompt_kind_of(prompt)
+            if kind is PromptKind.CATEGORY_INDUCTION and self.overlapped is None:
+                category_started.set()
+                self.overlapped = generation_started.wait(WAIT_S)
+            elif kind is not PromptKind.CATEGORY_INDUCTION:
+                if kind is PromptKind.INITIALIZATION and self.calls_made(kind) == 1:
+                    generation_started.set()
+                    category_started.wait(WAIT_S)
+                time.sleep(2 * HANDOFF_MIN_S)
+            return super().complete(prompt, seed=seed, temperature=temperature)
+
+    category_started, generation_started = threading.Event(), threading.Event()
+    provider = FirstCategoryWaitsForGeneration(three_gen_transcript().write(tmp_path / "t.jsonl"))
+    cfg = config(population_size=2, elite_categories=2, max_generations=3, max_samples=100)
+    start = time.monotonic()
+    EvolutionEngine(cfg, provider, ladder_suite()).run()
+    assert provider.overlapped is True
+    assert time.monotonic() - start < WAIT_S
+
+
+@pytest.mark.parametrize("delay_seed", [1, 2, 3])
+def test_random_call_delays_leave_events_and_prompts_unchanged(tmp_path, delay_seed):
+    path = mixed_transcript().write(tmp_path / "t.jsonl")
+    instant, delayed = ThreadedProvider(path), ThreadedProvider(path, delay_seed)
+    want = logged_run(instant, mixed_config())
+    assert logged_run(delayed, mixed_config()) == want
+    assert delayed.calls == instant.calls  # per kind: prompt, seed and temperature, in order
+    assert {"repaired", "abandoned"} <= {p["outcome"] for e, p in want if e == "reflection"}
+
+
+def test_no_two_calls_of_one_kind_are_in_flight_at_once(tmp_path):
+    provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"), delay_seed=7)
+    logged_run(provider, mixed_config())
+    assert provider.same_kind_overlaps == 0
+    assert provider.max_in_flight == 2  # a category call did overlap a generation call
+
+
+def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_path):
+    provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"))
+    logged_run(provider, mixed_config())
+    assert len(provider.category_threads) == 9
+    assert set(provider.category_threads) == {threading.current_thread()}
+
+
+def _worker_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name == "cdeoh-category-induction"]
+
+
+def test_no_worker_thread_outlives_run(tmp_path):
+    tb = mixed_transcript()
+    provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
+    logged_run(provider, mixed_config())
+    assert _worker_threads() == []
+    tb.entries = [e for e in tb.entries if e[:2] != ("innovation", 1)]
+    provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
+    with pytest.raises(ProviderError):
+        logged_run(provider, mixed_config())
+    assert _worker_threads() == []
+
+
+def test_generation_error_while_a_category_call_is_in_flight_keeps_its_events(tmp_path):
+    """The failing call raises while the refinement child's category call is
+    still running; that child's events still precede the failing `sample`."""
+
+    class SlowCategoryThenMissingInnovation(ScriptedProvider):
+        def complete(self, prompt, seed=0, temperature=None):
+            kind = llm.prompt_kind_of(prompt)
+            if kind is PromptKind.CATEGORY_INDUCTION and self.calls_made(kind) == 2:
+                category_started.set()
+                time.sleep(0.05)
+            elif kind is PromptKind.REFINEMENT:
+                time.sleep(2 * HANDOFF_MIN_S)  # worth a handoff
+            elif kind is PromptKind.INNOVATION:
+                category_started.wait(WAIT_S)
+            return super().complete(prompt, seed=seed, temperature=temperature)
+
+    category_started = threading.Event()
+    tb = three_gen_transcript()
+    tb.entries = [e for e in tb.entries if e[0] != "innovation"]
+    path = tb.write(tmp_path / "t.jsonl")
+    runs = []
+    for provider in (ScriptedProvider(path), SlowCategoryThenMissingInnovation(path)):
+        events = []
+        engine = EvolutionEngine(config(population_size=2, elite_categories=2), provider,
+                                 ladder_suite(), log=lambda e, p: events.append((e, p)))
+        with pytest.raises(ProviderError, match="kind='innovation' index=0"):
+            engine.run()
+        runs.append(events)
+    assert category_started.is_set()
+    assert runs[1] == runs[0]
+    tail = [(e, p.get("kind", p.get("candidate_id"))) for e, p in runs[1][-4:]]
+    assert tail == [("sample", "refinement"), ("category-new", None), ("evaluation", 3),
+                    ("sample", "innovation")]
