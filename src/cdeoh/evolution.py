@@ -145,7 +145,8 @@ class RunState:
                     reflection_attempts=payload["reflection_attempts"],
                 )
             except (TypeError, ValueError) as e:  # e.g. a fitness that is not a number
-                raise ValueError(f"evaluation of candidate {payload['candidate_id']!r}: {e}") from None
+                raise ValueError(
+                    f"evaluation of candidate {payload['candidate_id']!r}: {e}") from None
             self.candidates[c.id] = c
             self.instance_gaps[c.id] = payload["instance_gaps"]
             self.category_counts[c.category] = self.category_counts.get(c.category, 0) + 1

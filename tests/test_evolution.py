@@ -637,7 +637,8 @@ class ThreadedProvider(ScriptedProvider):
     def __init__(self, path, delay_seed: int | None = None):
         super().__init__(path)
         self.delay_seed = delay_seed
-        self.calls: dict[str, list[tuple[str, int, float | None]]] = {}  # kind -> (prompt, seed, temperature)
+        # kind -> (prompt, seed, temperature) of each call, in call order
+        self.calls: dict[str, list[tuple[str, int, float | None]]] = {}
         self.category_threads: list[threading.Thread] = []
         self.in_flight: list[str] = []
         self.max_in_flight = 0
