@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping, Union
+from typing import Callable, Literal, Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -463,6 +463,9 @@ def pretty_print(program: Program) -> str:
 # All vector inputs of one call share one length, and every vector
 # expression is elementwise over them, so every vector in a call has that
 # length and the closures need no kind or length checks of their own.
+# The closures run with IEEE errors ignored: their caller enters
+# `np.errstate(all="ignore")`, once per call (`evaluate`) or once around
+# many calls (the simulators, after `bind`).
 
 _Scalar = np.float64
 _FLOAT64 = np.dtype(np.float64)
@@ -520,9 +523,10 @@ class _KindError(Exception):
 
 @dataclass(frozen=True)
 class _Compiled:
-    run: Callable[[dict], object]  # env (input values) -> result, IEEE errors ignored
+    run: Callable[[dict], object]  # env (input values) -> result
     kind: Kind
     input_names: frozenset[str]
+    reads: frozenset[str]          # the declared inputs some Name node reads
     n_nodes: int                   # nodes visited per call: each node once
     empty_error: str | None        # the error of a call whose vectors are empty
 
@@ -530,6 +534,8 @@ class _Compiled:
 class _Compiler:
     def __init__(self, arity: tuple[tuple[str, Kind], ...]):
         self.kinds: dict[str, Kind] = dict(arity)
+        self.inputs = frozenset(self.kinds)
+        self.reads: set[str] = set()
         self.n_nodes = 0
         self.empty_error: str | None = None
 
@@ -539,6 +545,8 @@ class _Compiler:
             c = _Scalar(e.value)
             return (lambda env: c), "scalar"
         if isinstance(e, Name):
+            if e.ident in self.inputs:  # bindings cannot shadow inputs
+                self.reads.add(e.ident)
             return operator.itemgetter(e.ident), self.kinds[e.ident]
         if isinstance(e, Unary):
             a, kind = self.compile(e.operand)
@@ -592,9 +600,8 @@ class _Compiler:
                 return result(env)
         else:
             run = result
-        # As a decorator, errstate is entered on every call (and per thread).
-        run = np.errstate(all="ignore")(run)
-        return _Compiled(run, kind, frozenset(program.input_names()), self.n_nodes, self.empty_error)
+        return _Compiled(run, kind, self.inputs, frozenset(self.reads), self.n_nodes,
+                         self.empty_error)
 
 
 def _join(*kinds: Kind) -> Kind:
@@ -632,16 +639,9 @@ def _coerce_input(name: str, kind: Kind, raw):
     return arr
 
 
-def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
-    """Evaluate `program` on `inputs` (floats, sequences or arrays).
-
-    Pure and deterministic: identical arguments give bitwise-identical
-    results, and a vector result has the length of the vector inputs.
-    Raises EvalError on missing/mismatched inputs, vector inputs of
-    different lengths, minval/maxval of empty vectors or an exceeded
-    node/vector budget (MAX_PROGRAM_NODES, MAX_VECTOR_LENGTH); never raises
-    on non-finite arithmetic, which follows IEEE semantics instead.
-    """
+def _checked(program: Program, inputs: Mapping[str, object]) -> tuple[_Compiled, dict]:
+    """The compiled program and its env of coerced inputs, after every check
+    `evaluate` makes before it runs a program; raises its EvalError."""
     compiled = program._compiled
     if compiled is None:  # a Program built without parse()
         try:
@@ -678,10 +678,51 @@ def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
                         f" {MAX_PROGRAM_NODES} exhausted")
     if length == 0 and compiled.empty_error is not None:
         raise EvalError("length-mismatch", compiled.empty_error)
-    out = compiled.run(env)
+    return compiled, env
+
+
+def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
+    """Evaluate `program` on `inputs` (floats, sequences or arrays).
+
+    Pure and deterministic: identical arguments give bitwise-identical
+    results, and a vector result has the length of the vector inputs.
+    Raises EvalError on missing/mismatched inputs, vector inputs of
+    different lengths, minval/maxval of empty vectors or an exceeded
+    node/vector budget (MAX_PROGRAM_NODES, MAX_VECTOR_LENGTH); never raises
+    on non-finite arithmetic, which follows IEEE semantics instead.
+    """
+    compiled, env = _checked(program, inputs)
+    with np.errstate(all="ignore"):
+        out = compiled.run(env)
     if compiled.kind == "vector":
         return Value("vector", out)
     return Value("scalar", float(out))
+
+
+class Bound(NamedTuple):
+    """A program checked once for many calls of one input signature (`bind`)."""
+
+    run: Callable[[dict], object]  # env -> result, as `evaluate` computes it
+    kind: Kind                     # the kind of every result
+    reads: frozenset[str]          # the declared inputs `run` reads from env
+
+
+def bind(program: Program, signature: Mapping[str, Kind], length: int) -> Bound:
+    """Check `program` for calls whose inputs are `signature`'s names, in its
+    order and of its kinds, with every vector `length` long.
+
+    Makes every check `evaluate` makes on such a call and raises the same
+    EvalError; a call whose vectors are 1 to `length` long passes them all.
+    `run(env)` then computes what `evaluate` would on such inputs.  Its env
+    holds only the inputs in `reads`, as float64 scalars and float64 1-d
+    arrays, and gains the program's `let` values.  Call it inside
+    `np.errstate(all="ignore")`; the result is a float64 array for a vector
+    kind and a float64 scalar otherwise.
+    """
+    probe = {name: _Scalar(0.0) if kind == "scalar" else np.empty(length)
+             for name, kind in signature.items()}
+    compiled, _ = _checked(program, probe)
+    return Bound(compiled.run, compiled.kind, compiled.reads)
 
 
 # --------------------------------------------------------------------------

@@ -63,6 +63,10 @@ class Candidate:
             raise ValueError(f"unknown origin {self.origin!r}")
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _rank_key(c: Candidate):
     return (-c.fitness, c.id)
 
@@ -136,6 +140,12 @@ class RunState:
         elif event == "category-new":
             self.category_generation[payload["label"]] = payload["generation"]
         elif event == "evaluation" and "candidate_id" in payload:
+            which = f"evaluation of candidate {payload['candidate_id']!r}"
+            if not _is_number(payload["fitness"]):
+                raise ValueError(f"{which}: fitness {payload['fitness']!r} is not a number")
+            gaps = payload["instance_gaps"]
+            if not (isinstance(gaps, list) and all(_is_number(g) for g in gaps)):
+                raise ValueError(f"{which}: instance_gaps {gaps!r} is not a list of numbers")
             try:
                 c = Candidate(
                     id=payload["candidate_id"], thought=payload["thought"], code=payload["code"],
@@ -144,11 +154,10 @@ class RunState:
                     parent_id=payload["parent_id"],
                     reflection_attempts=payload["reflection_attempts"],
                 )
-            except (TypeError, ValueError) as e:  # e.g. a fitness that is not a number
-                raise ValueError(
-                    f"evaluation of candidate {payload['candidate_id']!r}: {e}") from None
+            except (TypeError, ValueError) as e:  # e.g. a fitness that is not finite
+                raise ValueError(f"{which}: {e}") from None
             self.candidates[c.id] = c
-            self.instance_gaps[c.id] = payload["instance_gaps"]
+            self.instance_gaps[c.id] = gaps
             self.category_counts[c.category] = self.category_counts.get(c.category, 0) + 1
             if self.best is None or _rank_key(c) < _rank_key(self.best):
                 self.best = c
@@ -161,6 +170,10 @@ class RunState:
         elif event == "generation-summary":
             if self.best is None:
                 raise ValueError("generation-summary before any evaluated candidate")
+            # Only the summary rows read it, so a hand-built fold may leave it out.
+            if "best_fitness" in payload and not _is_number(payload["best_fitness"]):
+                raise ValueError(f"generation-summary: best_fitness {payload['best_fitness']!r}"
+                                 " is not a number")
             if payload["generation"] == 0:  # the initial population: every gen-0 survivor
                 members = [c for c in self.candidates.values() if c.generation_born == 0]
             else:

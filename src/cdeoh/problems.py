@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from cdeoh import dsl
-from cdeoh.dsl import EvalError, Program, evaluate
+from cdeoh.dsl import EvalError, Program, bind
+from cdeoh.dsl import evaluate  # noqa: F401  (the benchmark's tracer hooks problems.evaluate)
 
 OBP_INPUTS: Mapping[str, dsl.Kind] = {
     "item": "scalar",
@@ -223,6 +224,19 @@ def _martello_toth_l2(instance: ObpInstance) -> int:
 # OBP online simulation
 # --------------------------------------------------------------------------
 
+def _bind(program: Program, signature: Mapping[str, dsl.Kind], length: int, over: str):
+    """`dsl.bind` for a simulator: its closure and the inputs it reads, or
+    the CandidateFailure an evaluate call of that length would end in."""
+    try:
+        run, kind, reads = bind(program, signature, length)
+    except EvalError as e:
+        raise CandidateFailure(str(e)) from e
+    if kind != "vector":
+        raise CandidateFailure(
+            f"priority function must return a vector over the {over}, got a scalar")
+    return run, reads
+
+
 def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     """Run the online packing simulation; returns the final bin loads.
 
@@ -230,34 +244,38 @@ def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     """
     cap = instance.capacity
     n = len(instance.items)
-    # Per open bin; float64 so the program inputs need no conversion.  Loads
-    # are integers <= capacity, so every value stays exact.
+    # Items and loads per open bin are float64, so the program inputs need no
+    # conversion.  They are integers <= capacity, so every value stays exact.
     remaining = np.empty(n, dtype=np.float64)
     bin_index = np.arange(n, dtype=np.float64)
     n_open = 0
-    for item in instance.items:
-        feasible = (remaining[:n_open] >= item).nonzero()[0]
-        place_at = -1
-        if feasible.size > 0:
-            caps = remaining[feasible]
-            idxs = bin_index[feasible]
-            try:
-                out = evaluate(program, {"item": float(item), "cap_remaining": caps, "bin_index": idxs})
-            except EvalError as e:
-                raise CandidateFailure(str(e)) from e
-            if out.kind != "vector":
-                raise CandidateFailure(
-                    "priority function must return a vector over the feasible bins, got a scalar")
-            prio = np.where(np.isnan(out.data), -np.inf, out.data)
-            best = int(prio.argmax())  # first max <=> lowest bin_index
-            if prio[best] != -np.inf:
-                place_at = int(feasible[best])
-        if place_at < 0:
-            place_at = n_open
-            remaining[place_at] = cap
-            n_open += 1
-        remaining[place_at] -= item
-        assert remaining[place_at] >= 0, "bin overfilled"
+    checked = 0  # calls with up to this many feasible bins pass `bind`'s checks
+    with np.errstate(all="ignore"):
+        for item in np.asarray(instance.items, dtype=np.float64):
+            feasible = (remaining[:n_open] >= item).nonzero()[0]
+            k = feasible.size
+            place_at = -1
+            if k > 0:
+                if k > checked:
+                    run, reads = _bind(program, OBP_INPUTS, k, "feasible bins")
+                    checked = k
+                env = {}
+                if "item" in reads:
+                    env["item"] = item
+                if "cap_remaining" in reads:
+                    env["cap_remaining"] = remaining[feasible]
+                if "bin_index" in reads:
+                    env["bin_index"] = bin_index[feasible]
+                prio = np.fmax(run(env), -np.inf)  # NaN never wins
+                best = int(prio.argmax())  # first max <=> lowest bin_index
+                if prio[best] != -np.inf:
+                    place_at = int(feasible[best])
+            if place_at < 0:
+                place_at = n_open
+                remaining[place_at] = cap
+                n_open += 1
+            remaining[place_at] -= item
+            assert remaining[place_at] >= 0, "bin overfilled"
     loads = cap - remaining[:n_open]
     return [int(x) for x in loads]
 
@@ -390,40 +408,38 @@ def construct_tour(instance: TspInstance, program: Program) -> list[int]:
     """Build a tour by the candidate's priorities; always a permutation."""
     d = instance.dist
     n = instance.n_cities
-    # The unvisited cities in increasing order, u[:m], and their distances
-    # among each other, sub[:m, :m] == d[np.ix_(u[:m], u[:m])].  Picking a
-    # city shifts the later rows, then the later columns, up by one, so the
-    # order is kept and each row of the live block sums exactly as a fresh
-    # gather would.
+    # Bound for the first step; later steps have fewer cities, so pass the same checks.
+    run, reads = _bind(program, TSP_INPUTS, n - 1, "unvisited cities")
+    # The unvisited cities in increasing order, u[:m].  A program that reads
+    # mean_dist_remaining also gets their distances among each other,
+    # sub[:m, :m] == d[np.ix_(u[:m], u[:m])].  Picking a city shifts the
+    # later rows, then the later columns, up by one, so the order is kept and
+    # each row of the live block sums exactly as a fresh gather would.
     u = np.arange(1, n, dtype=np.int64)
-    sub = d[1:, 1:].copy()
+    means = "mean_dist_remaining" in reads
+    sub = d[1:, 1:].copy() if means else None
     tour = [0]
     cur = 0
-    for m in range(n - 1, 0, -1):
-        if m > 1:
-            mean_remaining = sub[:m, :m].sum(axis=1) / (m - 1)
-        else:
-            mean_remaining = np.zeros(1)
-        inputs = {
-            "dist_to_current": d[cur, u[:m]],
-            "dist_to_start": d[0, u[:m]],
-            "mean_dist_remaining": mean_remaining,
-            "visited_fraction": (n - m) / n,
-        }
-        try:
-            out = evaluate(program, inputs)
-        except EvalError as e:
-            raise CandidateFailure(str(e)) from e
-        if out.kind != "vector":
-            raise CandidateFailure(
-                "priority function must return a vector over the unvisited cities, got a scalar")
-        prio = np.where(np.isnan(out.data), -np.inf, out.data)
-        pick = int(prio.argmax())  # first max <=> lowest city index; all -inf picks 0
-        cur = int(u[pick])
-        tour.append(cur)
-        u[pick:m - 1] = u[pick + 1:m]
-        sub[pick:m - 1, :m] = sub[pick + 1:m, :m]
-        sub[:m - 1, pick:m - 1] = sub[:m - 1, pick + 1:m]
+    with np.errstate(all="ignore"):
+        for m in range(n - 1, 0, -1):
+            env = {}
+            if "dist_to_current" in reads:
+                env["dist_to_current"] = d[cur, u[:m]]
+            if "dist_to_start" in reads:
+                env["dist_to_start"] = d[0, u[:m]]
+            if means:
+                env["mean_dist_remaining"] = (sub[:m, :m].sum(axis=1) / (m - 1) if m > 1
+                                              else np.zeros(1))
+            if "visited_fraction" in reads:
+                env["visited_fraction"] = np.float64((n - m) / n)
+            prio = np.fmax(run(env), -np.inf)  # NaN never wins
+            pick = int(prio.argmax())  # first max <=> lowest city index; all -inf picks 0
+            cur = int(u[pick])
+            tour.append(cur)
+            u[pick:m - 1] = u[pick + 1:m]
+            if means:
+                sub[pick:m - 1, :m] = sub[pick + 1:m, :m]
+                sub[:m - 1, pick:m - 1] = sub[:m - 1, pick + 1:m]
     assert sorted(tour) == list(range(n)), "tour is not a permutation"
     return tour
 

@@ -120,6 +120,46 @@ def nearest_neighbor_cycle_length(dist, start: int = 0) -> float:
     return total + dist[cur][start]
 
 
+def reference_pack_online(instance, program) -> list[int]:
+    """Online packing that calls dsl.evaluate at every step: the differential
+    oracle of problems.pack_online.
+
+    Same inputs, tie rule and failure messages; returns the final bin loads.
+    """
+    cap = instance.capacity
+    n = len(instance.items)
+    # Per open bin; float64 so the program inputs need no conversion.  Loads
+    # are integers <= capacity, so every value stays exact.
+    remaining = np.empty(n, dtype=np.float64)
+    bin_index = np.arange(n, dtype=np.float64)
+    n_open = 0
+    for item in instance.items:
+        feasible = (remaining[:n_open] >= item).nonzero()[0]
+        place_at = -1
+        if feasible.size > 0:
+            caps = remaining[feasible]
+            idxs = bin_index[feasible]
+            try:
+                out = evaluate(program, {"item": float(item), "cap_remaining": caps, "bin_index": idxs})
+            except EvalError as e:
+                raise CandidateFailure(str(e)) from e
+            if out.kind != "vector":
+                raise CandidateFailure(
+                    "priority function must return a vector over the feasible bins, got a scalar")
+            prio = np.where(np.isnan(out.data), -np.inf, out.data)
+            best = int(prio.argmax())  # first max <=> lowest bin_index
+            if prio[best] != -np.inf:
+                place_at = int(feasible[best])
+        if place_at < 0:
+            place_at = n_open
+            remaining[place_at] = cap
+            n_open += 1
+        remaining[place_at] -= item
+        assert remaining[place_at] >= 0, "bin overfilled"
+    loads = cap - remaining[:n_open]
+    return [int(x) for x in loads]
+
+
 def reference_construct_tour(instance, program) -> list[int]:
     """Constructive tour that gathers the unvisited submatrix afresh at every
     step: the differential oracle of problems.construct_tour.
@@ -165,6 +205,34 @@ def top_n_by_fitness(candidates, n: int):
 
 
 # ---------------------------------------------------------------- expression language
+
+def names_read(program) -> set[str]:
+    """The declared inputs that a Program's tree names anywhere, by a plain walk."""
+    found = set()
+
+    def walk(e):
+        if isinstance(e, Name):
+            found.add(e.ident)
+        elif isinstance(e, Unary):
+            walk(e.operand)
+        elif isinstance(e, Binary):
+            walk(e.left)
+            walk(e.right)
+        elif isinstance(e, Call):
+            for a in e.args:
+                walk(a)
+        elif isinstance(e, Where):
+            walk(e.cond)
+            walk(e.then)
+            walk(e.other)
+        elif isinstance(e, Reduce):
+            walk(e.arg)
+
+    for _, expr in program.bindings:
+        walk(expr)
+    walk(program.result)
+    return found & {name for name, _ in program.arity}
+
 
 def reference_evaluate(program, inputs):
     """Tree-walking interpreter of a cdeoh.dsl Program: the differential oracle

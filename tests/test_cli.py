@@ -395,6 +395,12 @@ _INCONSISTENT_EVENT = {
                                 "payload": {"generation": 1, "candidate_ids": [7],
                                             "selected_ids": [7]}},
     "fitness-not-a-number": {"event": "evaluation", "payload": {**_EVALUATION, "fitness": "x"}},
+    "instance-gap-not-a-number": {"event": "evaluation",
+                                  "payload": {**_EVALUATION, "instance_gaps": ["x", 1.0]}},
+    # A list of events: the last one contradicts the ones before it.
+    "best-fitness-not-a-number": [{"event": "evaluation", "payload": _EVALUATION},
+                                  {"event": "generation-summary",
+                                   "payload": {**_SUMMARY, "best_fitness": "x"}}],
 }
 
 
@@ -406,11 +412,13 @@ def test_event_that_contradicts_the_run_is_one_line_and_exit_2(tmp_path, capsys,
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
     assert main(["run", str(cfg_path)]) == 0
     events = single_run_dir(tmp_path) / "events.jsonl"
-    events.write_text(json.dumps({"seq": 0, **event}) + "\n")
+    lines = [json.dumps({"seq": seq, **e})
+             for seq, e in enumerate(event if isinstance(event, list) else [event])]
+    events.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main([command, str(events.parent)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {events}:1: ") and err.count("\n") == 1, err
+    assert err.startswith(f"error: {events}:{len(lines)}: ") and err.count("\n") == 1, err
 
 
 # ---------------------------------------------------------------- report

@@ -35,8 +35,10 @@ from cdeoh.problems import (
 from oracles import (
     exhaustive_bin_packing,
     held_karp_cycle,
+    names_read,
     nearest_neighbor_cycle_length,
     reference_construct_tour,
+    reference_pack_online,
     simple_best_fit,
     simple_first_fit,
 )
@@ -357,37 +359,76 @@ TOUR_PROGRAMS = (
 )
 
 
-def _recorded(module, build, instance, program):
-    """Run `build` with `module.evaluate` wrapped so that every step's inputs
-    are recorded; return (tour or CandidateFailure text, inputs per step)."""
+def _outcome(build, instance, program):
+    try:
+        return build(instance, program)
+    except CandidateFailure as e:
+        return f"CandidateFailure: {e}"
+
+
+def _recorded_bound(build, instance, program):
+    """Run a simulator with `problems.bind` wrapped so that the env of every
+    call of the bound closure is recorded; return (result or CandidateFailure
+    text, env per step)."""
     steps = []
-    real = module.evaluate
+    real = problems.bind
+
+    def recording(prog, signature, length):
+        bound = real(prog, signature, length)
+
+        def run(env):
+            steps.append({k: np.array(v, copy=True) for k, v in env.items()})
+            return bound.run(env)
+
+        return bound._replace(run=run)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problems, "bind", recording)
+        outcome = _outcome(build, instance, program)
+    return outcome, steps
+
+
+def _recorded_evaluate(build, instance, program):
+    """Run an oracle with `oracles.evaluate` wrapped so that every step's
+    inputs are recorded; return (result or CandidateFailure text, inputs per
+    step)."""
+    import oracles
+    steps = []
+    real = oracles.evaluate
 
     def recording(prog, inputs):
         steps.append({k: np.array(v, copy=True) for k, v in inputs.items()})
         return real(prog, inputs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "evaluate", recording)
-        try:
-            outcome = build(instance, program)
-        except CandidateFailure as e:
-            outcome = f"CandidateFailure: {e}"
+        mp.setattr(oracles, "evaluate", recording)
+        outcome = _outcome(build, instance, program)
     return outcome, steps
 
 
-def assert_matches_reference_tour(instance, program):
-    import oracles
-    got, got_steps = _recorded(problems, construct_tour, instance, program)
-    want, want_steps = _recorded(oracles, reference_construct_tour, instance, program)
+def assert_matches_reference(build, reference, instance, program):
+    """The same result or CandidateFailure text as the oracle, and at every
+    step the same bytes and dtype of every input the program reads; no
+    input it does not read is built."""
+    got, got_steps = _recorded_bound(build, instance, program)
+    want, want_steps = _recorded_evaluate(reference, instance, program)
     assert got == want
+    if isinstance(want, str):
+        # The oracle records the evaluate call that fails; the simulator
+        # fails in `bind` and never runs the closure for that step.
+        want_steps = want_steps[:-1]
     assert len(got_steps) == len(want_steps)
+    reads = names_read(program)
     for g, w in zip(got_steps, want_steps):
-        assert g.keys() == w.keys()
-        for name in w:
+        assert g.keys() == reads
+        for name in reads:
             assert g[name].dtype == w[name].dtype
             assert g[name].tobytes() == w[name].tobytes(), name
     return got, got_steps
+
+
+def assert_matches_reference_tour(instance, program):
+    return assert_matches_reference(construct_tour, reference_construct_tour, instance, program)
 
 
 @given(
@@ -411,21 +452,122 @@ def test_construct_tour_matches_reference_on_large_instances(n):
 @pytest.mark.parametrize("src", ["return 0 - dist_to_current", "return dist_to_current"])
 def test_construct_tour_tail_of_two_one_zero_cities(src):
     # n = 3: the last two steps see 2 and then 1 unvisited city; the loop
-    # ends with 0 left.  With two left, each mean is their distance; with
-    # one left it is 0.
+    # ends with 0 left.
     inst = gen_tsp(5, 3)
     tour, steps = assert_matches_reference_tour(inst, compile_tsp(src))
+    assert [s["dist_to_current"].size for s in steps] == [2, 1]
+    assert tour[0] == 0 and sorted(tour) == [0, 1, 2]
+
+
+def test_construct_tour_tail_inputs_of_two_and_one_cities():
+    # With two cities left, each mean is their distance; with one left it is 0.
+    inst = gen_tsp(5, 3)
+    src = "return mean_dist_remaining * visited_fraction - dist_to_current"
+    assert src in TOUR_PROGRAMS
+    _, steps = assert_matches_reference_tour(inst, compile_tsp(src))
     assert [s["mean_dist_remaining"].size for s in steps] == [2, 1]
     assert steps[0]["mean_dist_remaining"].tolist() == [inst.dist[1, 2]] * 2
     assert steps[1]["mean_dist_remaining"].tolist() == [0.0]
     assert steps[1]["visited_fraction"] == 2 / 3
-    assert tour[0] == 0 and sorted(tour) == [0, 1, 2]
 
 
 def test_construct_tour_all_ties_keeps_city_order():
     inst = gen_tsp(1, 12)
     assert construct_tour(inst, compile_tsp("return 0 * dist_to_current")) == list(range(12))
     assert construct_tour(inst, compile_tsp("return log(0 - dist_to_current)")) == list(range(12))
+
+
+# Programs for the OBP differential property: best, first and worst fit,
+# all ties and partial ties, partly NaN, all NaN, partly and wholly -inf,
+# quasi-random picks, readers and non-readers of bin_index (one reads it
+# only in an unused binding) and a scalar result (a CandidateFailure at the
+# first call).
+PACK_PROGRAMS = (
+    problems.BEST_FIT_PROGRAM,
+    problems.FIRST_FIT_PROGRAM,
+    "return cap_remaining - item",
+    "return 0 * cap_remaining",
+    "return floor(cap_remaining / 10)",
+    "return where((cap_remaining - item < 10), 0 - cap_remaining, log(0 - item))",
+    "return where((bin_index > 2), log(0 - bin_index), bin_index)",
+    "return log(0 - cap_remaining)",
+    "let s = cap_remaining - item; return where((s == 0), 0 - 1e400, 0 - s)",
+    "return 0 * bin_index - 1e400",
+    "return bin_index * 7919 - floor(bin_index * 7919 / 13) * 13",
+    "let unused = bin_index; return 0 - cap_remaining",
+    "return item",
+)
+
+
+@given(
+    cap=st.integers(2, 120),
+    items=st.lists(st.integers(1, 120), min_size=1, max_size=80),
+    src=st.sampled_from(PACK_PROGRAMS),
+)
+@settings(max_examples=150, deadline=None)
+def test_pack_online_matches_reference(cap, items, src):
+    inst = ObpInstance(capacity=cap, items=tuple(min(x, cap) for x in items))
+    assert_matches_reference(pack_online, reference_pack_online, inst, compile_obp(src))
+
+
+def test_pack_online_calls_no_program_without_a_feasible_bin():
+    prog = compile_obp("return item")  # a scalar: fails at its first call
+    for items in ((3,), (6, 6)):
+        inst = ObpInstance(capacity=10, items=items)
+        assert pack_online(inst, prog) == reference_pack_online(inst, prog) == list(items)
+
+
+def _sum_of_scalar(signature, scalar):
+    """`return sum(<scalar>)` built without parse, which would reject it."""
+    return dsl.Program(source=f"return sum({scalar})", bindings=(),
+                       result=dsl.Reduce("sum", dsl.Name(scalar)), arity=tuple(signature.items()))
+
+
+_SIMULATORS = {
+    # The third item opens a bin beside one of two feasible ones; the fifth
+    # sees three feasible bins.
+    "obp": (pack_online, reference_pack_online, ObpInstance(capacity=10, items=(6, 1, 6, 6, 1))),
+    "tsp": (construct_tour, reference_construct_tour, gen_tsp(1, 6)),
+}
+
+
+@pytest.mark.parametrize("task, program, limits, message", [
+    pytest.param("obp", compile_obp("return item"), {}, "over the feasible bins, got a scalar",
+                 id="obp-scalar-result"),
+    pytest.param("tsp", compile_tsp("return visited_fraction"), {},
+                 "over the unvisited cities, got a scalar", id="tsp-scalar-result"),
+    pytest.param("obp", NN_PROG, {}, "unexpected input 'item'", id="obp-tsp-program"),
+    pytest.param("tsp", BEST_FIT, {}, "unexpected input 'dist_to_current'", id="tsp-obp-program"),
+    pytest.param("obp", dsl.parse("return cap_remaining + noise",
+                                  {**problems.OBP_INPUTS, "noise": "vector"}),
+                 {}, "missing input 'noise'", id="obp-missing-input"),
+    pytest.param("tsp", dsl.parse("return dist_to_current + noise",
+                                  {**problems.TSP_INPUTS, "noise": "vector"}),
+                 {}, "missing input 'noise'", id="tsp-missing-input"),
+    pytest.param("obp", _sum_of_scalar(problems.OBP_INPUTS, "item"), {},
+                 "sum() expects a vector argument, got a scalar", id="obp-unparsed"),
+    pytest.param("tsp", _sum_of_scalar(problems.TSP_INPUTS, "visited_fraction"), {},
+                 "sum() expects a vector argument, got a scalar", id="tsp-unparsed"),
+    pytest.param("obp", BEST_FIT, {"MAX_PROGRAM_NODES": 3}, "node-visit budget 3 exhausted",
+                 id="obp-node-budget"),
+    pytest.param("tsp", NN_PROG, {"MAX_PROGRAM_NODES": 2}, "node-visit budget 2 exhausted",
+                 id="tsp-node-budget"),
+    pytest.param("obp", BEST_FIT, {"MAX_VECTOR_LENGTH": 1},
+                 "input 'cap_remaining': length 3 exceeds max_vector_length 1",
+                 id="obp-vector-length"),
+    pytest.param("obp", FIRST_FIT, {"MAX_VECTOR_LENGTH": 1},
+                 "input 'cap_remaining': length 3 exceeds max_vector_length 1",
+                 id="obp-vector-length-unread-input"),
+    pytest.param("tsp", NN_PROG, {"MAX_VECTOR_LENGTH": 4},
+                 "input 'dist_to_current': length 5 exceeds max_vector_length 4",
+                 id="tsp-vector-length"),
+])
+def test_simulator_failures_match_the_oracle(monkeypatch, task, program, limits, message):
+    for name, value in limits.items():
+        monkeypatch.setattr(dsl, name, value)
+    build, reference, instance = _SIMULATORS[task]
+    got, _ = assert_matches_reference(build, reference, instance, program)
+    assert got.startswith("CandidateFailure: ") and message in got, got
 
 
 # ---------------------------------------------------------------- aggregation
