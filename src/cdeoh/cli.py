@@ -21,17 +21,15 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TextIO, get_args, get_type_hints
+from typing import TextIO, get_type_hints
 
 import numpy as np
 
 from cdeoh import dsl, llm, problems
-from cdeoh.evolution import BudgetExhaustedError, EvolutionConfig, EvolutionEngine, RunState
+from cdeoh.evolution import (PAYLOADS, BudgetExhaustedError, EvolutionConfig, EvolutionEngine,
+                             RunState, check_payload, has_type, type_name)
 from cdeoh.llm import ProviderConfig, ProviderError
 from cdeoh.problems import BenchmarkSuite, CandidateFailure
-
-EVENT_TYPES = ("sample", "evaluation", "reflection", "category-new",
-               "selection", "generation-summary")
 
 
 class ConfigError(Exception):
@@ -44,8 +42,6 @@ class ConfigError(Exception):
 
 _TOP_KEYS = {"task", "suite", "evolution", "provider", "output_dir"}
 _JSON_KEYS = {"lambda_weight": "lambda"}  # field name -> config key, where they differ
-_WANT = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-         tuple[int, ...]: "a non-empty list of integers"}
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,6 @@ class TspSuiteConfig:
 _SUITE_CONFIGS = {"obp": ObpSuiteConfig, "tsp": TspSuiteConfig}
 
 
-def _has_type(want, value) -> bool:
-    if want is float:  # finite: abs() of NaN, an infinity or a huge int is not <= max
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    if want == tuple[int, ...]:
-        return type(value) is list and bool(value) and all(type(x) is int for x in value)
-    return type(value) is want  # so a JSON bool is not an int
-
-
 def _typed_section(cls, name: str, section):
     """`cls` built from a config object whose keys and value types are its fields'."""
     if not isinstance(section, dict):
@@ -93,10 +81,8 @@ def _typed_section(cls, name: str, section):
     kwargs = {}
     for key, value in section.items():
         field, hint = fields[key]
-        nullable = type(None) in get_args(hint)  # `X | None`
-        want = get_args(hint)[0] if nullable else hint
-        if not (value is None and nullable or _has_type(want, value)):
-            raise ConfigError(f"{name}.{key} must be {_WANT[want]}{' or null' * nullable}")
+        if not has_type(hint, value):
+            raise ConfigError(f"{name}.{key} must be {type_name(hint)}")
         kwargs[field] = tuple(value) if type(value) is list else value
     try:
         return cls(**kwargs)
@@ -163,7 +149,7 @@ class RunLogWriter:
         self._timestamps = timestamps
 
     def emit(self, event: str, payload: dict) -> None:
-        assert event in EVENT_TYPES, event
+        assert event in PAYLOADS, event
         record = {"seq": self.seq, "event": event, "payload": payload}
         if self._timestamps:
             record["ts"] = datetime.now(timezone.utc).isoformat()
@@ -173,7 +159,8 @@ class RunLogWriter:
 
 
 def parse_events(text: str, source: str) -> list[dict]:
-    """The events of `text`, each checked by folding it; ValueError naming the line."""
+    """The events of `text`, each checked against its declared payload
+    (`evolution.PAYLOADS`) and by folding it; ValueError naming the line."""
     events = []
     state = RunState()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -183,15 +170,12 @@ def parse_events(text: str, source: str) -> list[dict]:
             event = json.loads(line)
         except json.JSONDecodeError as e:
             raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
-        if not (isinstance(event, dict) and event.get("event") in EVENT_TYPES
-                and isinstance(event.get("payload"), dict)):
+        if not (isinstance(event, dict) and isinstance(event.get("event"), str)
+                and event["event"] in PAYLOADS and isinstance(event.get("payload"), dict)):
             raise ValueError(f"{source}:{lineno}: not an event: want an object with an"
-                             f" `event` of {', '.join(EVENT_TYPES)} and an object `payload`")
-        missing = RunState.missing_keys(event["event"], event["payload"])
-        if missing:
-            raise ValueError(f"{source}:{lineno}: not an event: {event['event']} payload"
-                             f" lacks {', '.join(missing)}")
+                             f" `event` of {', '.join(PAYLOADS)} and an object `payload`")
         try:
+            check_payload(event["event"], event["payload"])
             state.apply(event["event"], event["payload"])
         except ValueError as e:
             raise ValueError(f"{source}:{lineno}: {e}") from None
@@ -232,7 +216,7 @@ def summary_rows(state: RunState) -> list[dict]:
 
 
 def write_summary_csv(path: Path, state: RunState) -> None:
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", errors="replace") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
         writer.writerows(summary_rows(state))
@@ -490,14 +474,10 @@ def cmd_report(run_dir_arg: str) -> int:
         "## Per-setting gaps of the best candidate",
         "",
     ]
-    labels = None
-    cfg_path = run_dir / "config.json"
-    if cfg_path.exists():
-        try:
-            cfg = load_run_config(cfg_path)
-            labels = cfg.suite.build().labels
-        except (ConfigError, ValueError):
-            labels = None
+    try:
+        labels = load_run_config(run_dir / "config.json").suite.build().labels
+    except (ConfigError, ValueError):  # no config, or one whose suite does not build
+        labels = None
     gaps = state.instance_gaps[best.id]
     if labels and len(labels) == len(gaps):
         per_setting: dict[str, list[float]] = {}

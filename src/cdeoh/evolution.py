@@ -13,11 +13,13 @@ from __future__ import annotations
 import functools
 import math
 import queue
+import sys
 import threading
 import time
+import types
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_args, get_origin
 
 from cdeoh import dsl, llm, problems
 from cdeoh.dsl import ParseError
@@ -63,8 +65,84 @@ class Candidate:
             raise ValueError(f"unknown origin {self.origin!r}")
 
 
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+# --------------------------------------------------------------------------
+# JSON types and the event schema
+# --------------------------------------------------------------------------
+
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+               type(None): "null"}
+_CONTAINERS = {tuple: "a non-empty list of", list: "a list of", dict: "an object of"}
+
+
+def has_type(want, value) -> bool:
+    """Whether the JSON value `value` has type `want`: a scalar type, `X | None`,
+    `list[X]`, `tuple[X, ...]` (a non-empty list) or `dict[str, X]`."""
+    if want is float:  # finite: abs() of NaN, an infinity or a huge int is not <= max
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    if type(want) is type:
+        return type(value) is want  # so a JSON bool is not an int
+    origin, args = get_origin(want), get_args(want)
+    if origin is types.UnionType:
+        return any(has_type(a, value) for a in args)
+    if origin is dict:  # JSON object keys are strings
+        return type(value) is dict and all(has_type(args[1], v) for v in value.values())
+    return (type(value) is list and (origin is list or bool(value))
+            and all(has_type(args[0], x) for x in value))
+
+
+def type_name(want) -> str:
+    """`want` as an error message names it, e.g. "a non-empty list of integers"."""
+    origin, args = get_origin(want), get_args(want)
+    if origin is None:
+        return _TYPE_NAMES[want]
+    if origin is types.UnionType:
+        return " or ".join(map(type_name, args))
+    item = type_name(args[1] if origin is dict else args[0]).split(" ", 1)[1]
+    return f"{_CONTAINERS[origin]} {item}s"
+
+
+# Each event's payload: its fields and their JSON types.  An `evaluation` or
+# `reflection` either names the candidate it produced (`candidate_id`, the
+# last form) or says why there is none (`error`, the first form).
+_STEP = {"generation": int, "parent_id": int | None}
+PAYLOADS: dict[str, tuple[dict, ...]] = {
+    "sample": ({**_STEP, "kind": str, "sample_index": int},),
+    "evaluation": (
+        {**_STEP, "origin": str, "error": str},
+        {**_STEP, "origin": str, "candidate_id": int, "category": str, "fitness": float,
+         "gap_percent": float, "instance_gaps": list[float], "reflection_attempts": int,
+         "thought": str, "code": str},
+    ),
+    "reflection": ({**_STEP, "attempt": int, "outcome": str, "error": str},
+                   {**_STEP, "attempt": int, "outcome": str, "candidate_id": int}),
+    "category-new": ({"label": str, "generation": int},),
+    "selection": ({"generation": int, "candidate_ids": list[int], "selected_ids": list[int]},),
+    "generation-summary": ({"generation": int, "samples_used": int, "cumulative_samples": int,
+                            "offspring_added": int, "best_fitness": float,
+                            "best_candidate_id": int, "category_histogram": dict[str, int],
+                            "new_categories": list[str]},),
+}
+
+
+def payload_fields(event: str, payload: dict) -> dict:
+    """The declared fields of the form of `event` that `payload` takes."""
+    forms = PAYLOADS[event]
+    return forms[-1] if "candidate_id" in payload else forms[0]
+
+
+def check_payload(event: str, payload: dict) -> None:
+    """ValueError unless `payload` has exactly the fields and types of a declared
+    `event` payload; O(fields), and O(items) for a list or an object."""
+    fields = payload_fields(event, payload)
+    missing = [k for k in fields if k not in payload]
+    if missing:
+        raise ValueError(f"not an event: {event} payload lacks {', '.join(missing)}")
+    for key, value in payload.items():
+        if key not in fields:
+            raise ValueError(f"not an event: {event} payload has unknown field {key}")
+        if not has_type(fields[key], value):
+            raise ValueError(f"not an event: {event} payload field {key} must be"
+                             f" {type_name(fields[key])}")
 
 
 def _rank_key(c: Candidate):
@@ -96,18 +174,6 @@ class RunState:
     grows with the samples drawn (about 0.5 KB each), not with the population.
     """
 
-    # The payload keys that `apply` and the summary rows read, per event; an
-    # `evaluation` without a `candidate_id` (a failure) is read for nothing.
-    PAYLOAD_KEYS = {
-        "category-new": ("label", "generation"),
-        "evaluation": ("generation", "origin", "parent_id", "category", "fitness",
-                       "instance_gaps", "reflection_attempts", "thought", "code"),
-        "selection": ("selected_ids",),
-        "generation-summary": ("generation", "samples_used", "cumulative_samples",
-                               "offspring_added", "best_fitness", "new_categories",
-                               "category_histogram"),
-    }
-
     def __init__(self):
         self.candidates: dict[int, Candidate] = {}
         self.instance_gaps: dict[int, list[float]] = {}
@@ -120,12 +186,6 @@ class RunState:
         self._selected: list[int] = []  # the last selection, committed at its summary
 
     @classmethod
-    def missing_keys(cls, event: str, payload: dict) -> list[str]:
-        if event == "evaluation" and "candidate_id" not in payload:
-            return []
-        return [k for k in cls.PAYLOAD_KEYS.get(event, ()) if k not in payload]
-
-    @classmethod
     def from_events(cls, events: Iterable[dict]) -> "RunState":
         state = cls()
         for e in events:
@@ -133,47 +193,36 @@ class RunState:
         return state
 
     def apply(self, event: str, payload: dict) -> None:
-        """Fold one event whose payload has `PAYLOAD_KEYS`; ValueError if it
-        contradicts the run so far."""
+        """Fold one event whose payload has the fields and types of `PAYLOADS`
+        (`cli.parse_events` checks them); ValueError if it contradicts the run
+        so far or its candidate is invalid."""
         if event == "sample":
             self.samples += 1
         elif event == "category-new":
             self.category_generation[payload["label"]] = payload["generation"]
         elif event == "evaluation" and "candidate_id" in payload:
-            which = f"evaluation of candidate {payload['candidate_id']!r}"
-            if not _is_number(payload["fitness"]):
-                raise ValueError(f"{which}: fitness {payload['fitness']!r} is not a number")
-            gaps = payload["instance_gaps"]
-            if not (isinstance(gaps, list) and all(_is_number(g) for g in gaps)):
-                raise ValueError(f"{which}: instance_gaps {gaps!r} is not a list of numbers")
             try:
-                c = Candidate(
-                    id=payload["candidate_id"], thought=payload["thought"], code=payload["code"],
-                    category=payload["category"], fitness=payload["fitness"],
-                    origin=payload["origin"], generation_born=payload["generation"],
-                    parent_id=payload["parent_id"],
-                    reflection_attempts=payload["reflection_attempts"],
-                )
-            except (TypeError, ValueError) as e:  # e.g. a fitness that is not finite
+                c = Candidate(id=payload["candidate_id"], thought=payload["thought"],
+                              code=payload["code"], category=payload["category"],
+                              fitness=payload["fitness"], origin=payload["origin"],
+                              generation_born=payload["generation"], parent_id=payload["parent_id"],
+                              reflection_attempts=payload["reflection_attempts"])
+            except ValueError as e:  # e.g. an empty category
+                which = f"evaluation of candidate {payload['candidate_id']}"
                 raise ValueError(f"{which}: {e}") from None
             self.candidates[c.id] = c
-            self.instance_gaps[c.id] = gaps
+            self.instance_gaps[c.id] = payload["instance_gaps"]
             self.category_counts[c.category] = self.category_counts.get(c.category, 0) + 1
             if self.best is None or _rank_key(c) < _rank_key(self.best):
                 self.best = c
         elif event == "selection":
             ids = payload["selected_ids"]
-            if not (isinstance(ids, list)
-                    and all(type(i) is int and i in self.candidates for i in ids)):
+            if not all(i in self.candidates for i in ids):
                 raise ValueError(f"selection of candidates never evaluated: {ids!r}")
             self._selected = ids
         elif event == "generation-summary":
             if self.best is None:
                 raise ValueError("generation-summary before any evaluated candidate")
-            # Only the summary rows read it, so a hand-built fold may leave it out.
-            if "best_fitness" in payload and not _is_number(payload["best_fitness"]):
-                raise ValueError(f"generation-summary: best_fitness {payload['best_fitness']!r}"
-                                 " is not a number")
             if payload["generation"] == 0:  # the initial population: every gen-0 survivor
                 members = [c for c in self.candidates.values() if c.generation_born == 0]
             else:
@@ -337,7 +386,8 @@ class EvolutionEngine:
     def _ctx(self, **kw) -> PromptContext:
         return PromptContext(**self.base_ctx, **kw)
 
-    def _log(self, event: str, payload: dict) -> None:
+    def _log(self, event: str, **payload) -> None:
+        assert payload.keys() == payload_fields(event, payload).keys(), (event, sorted(payload))
         self._materialize()
         self.state.apply(event, payload)
         self._emit(event, payload)
@@ -350,11 +400,11 @@ class EvolutionEngine:
         pending, self._pending = self._pending, None
         category = pending.call() if pending.label.cancel() else pending.label.result()
         if category not in self.state.category_counts:
-            self._log("category-new", {"label": category,
-                                       "generation": pending.evaluation["generation"]})
-        self._log("evaluation", {**pending.evaluation, "category": category})
+            self._log("category-new", label=category,
+                      generation=pending.evaluation["generation"])
+        self._log("evaluation", **pending.evaluation, category=category)
         for event, payload in pending.after:
-            self._log(event, payload)
+            self._log(event, **payload)
 
     def _seed(self) -> int:
         return self.config.rng_seed + self.state.samples
@@ -362,9 +412,9 @@ class EvolutionEngine:
     def _budget_spent(self) -> bool:
         return self.state.samples >= self.config.max_samples
 
-    def _sample_payload(self, kind: PromptKind, parent_id: int | None, generation: int) -> dict:
-        return {"kind": kind.value, "sample_index": self.state.samples + 1,
-                "parent_id": parent_id, "generation": generation}
+    def _log_sample(self, kind: PromptKind, parent_id: int | None, generation: int) -> None:
+        self._log("sample", kind=kind.value, sample_index=self.state.samples + 1,
+                  parent_id=parent_id, generation=generation)
 
     def _categorize(self, thought: str, code: str, known: tuple[str, ...], seed: int) -> str:
         if not self.config.enable_categories:
@@ -389,20 +439,19 @@ class EvolutionEngine:
         try:
             program = dsl.parse(code, self.signature)
         except ParseError as e:
-            self._log("evaluation", {"generation": generation, "parent_id": parent_id,
-                                     "origin": origin, "error": str(e)})
-            return str(e)
-        key = dsl.pretty_print(program)
-        report = self._scores.get(key)
-        if report is None:
-            try:
-                report = problems.evaluate_candidate(self.suite, program)
-            except CandidateFailure as e:
-                report = str(e)
-            self._scores[key] = report
+            report = str(e)
+        else:
+            key = dsl.pretty_print(program)
+            report = self._scores.get(key)
+            if report is None:
+                try:
+                    report = problems.evaluate_candidate(self.suite, program)
+                except CandidateFailure as e:
+                    report = str(e)
+                self._scores[key] = report
         if isinstance(report, str):
-            self._log("evaluation", {"generation": generation, "parent_id": parent_id,
-                                     "origin": origin, "error": report})
+            self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
+                      error=report)
             return report
         # Every path here logged this candidate's sample, so nothing is pending
         # and the known labels include the previous candidate's.
@@ -413,14 +462,11 @@ class EvolutionEngine:
         label: Future = Future()
         if self._jobs is not None and self._hand_off:
             self._jobs.put((label, call))
-        self._pending = _Pending(label, call, {
-            "generation": generation, "candidate_id": candidate_id, "origin": origin,
-            "parent_id": parent_id, "fitness": report.fitness,
-            "gap_percent": report.gap_percent,
-            "instance_gaps": [r.gap_percent for r in report.per_instance],
-            "reflection_attempts": reflection_attempts,
-            "thought": thought, "code": code,
-        }, [])
+        self._pending = _Pending(label, call, dict(
+            generation=generation, candidate_id=candidate_id, origin=origin, parent_id=parent_id,
+            fitness=report.fitness, gap_percent=report.gap_percent,
+            instance_gaps=[r.gap_percent for r in report.per_instance],
+            reflection_attempts=reflection_attempts, thought=thought, code=code), [])
         return candidate_id
 
     def _sample(self, kind: PromptKind, ctx: PromptContext, origin: str,
@@ -432,7 +478,6 @@ class EvolutionEngine:
         """
         if self._budget_spent():
             return None
-        sample = self._sample_payload(kind, parent_id, generation)
         try:
             prompt = llm.render_prompt(kind, ctx, self.provider.config.max_prompt_bytes)
             start = time.perf_counter()
@@ -440,64 +485,51 @@ class EvolutionEngine:
                                          temperature=self.provider.config.temperature)
             self._hand_off = time.perf_counter() - start >= HANDOFF_MIN_S
         finally:
-            self._log("sample", sample)
+            self._log_sample(kind, parent_id, generation)
         try:
             thought, code = llm.parse_generation(raw)
         except ParseFailure as e:
             # Give reflection whatever there is to work with.
             thought = e.thought or "(no thought block provided)"
             code = e.code or raw
-            self._log("evaluation", {"generation": generation, "parent_id": parent_id,
-                                     "origin": origin, "error": str(e)})
+            self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
+                      error=str(e))
             return self._reflect(thought, code, str(e), parent_id, generation)
         result = self._attempt(thought, code, origin, parent_id, generation)
         if isinstance(result, int):
             return result
         return self._reflect(thought, code, result, parent_id, generation)
 
-    def try_reflect(self, thought: str, code: str, error: str,
-                    parent_id: int | None = None, generation: int = 0) -> Candidate | None:
-        """Up to `reflection_budget` repair calls; the repaired Candidate or None."""
-        repaired = self._reflect(thought, code, error, parent_id, generation)
-        self._materialize()
-        return None if repaired is None else self.state.candidates[repaired]
-
     def _reflect(self, thought: str, code: str, error: str,
                  parent_id: int | None, generation: int) -> int | None:
         budget_b = self.config.reflection_budget
+        step = {"generation": generation, "parent_id": parent_id}
         if not self.config.enable_reflection or budget_b < 1:
-            self._log("reflection", {"generation": generation, "parent_id": parent_id,
-                                     "attempt": 0, "outcome": "disabled", "error": error})
+            self._log("reflection", **step, attempt=0, outcome="disabled", error=error)
             return None
         for attempt in range(1, budget_b + 1):
             if self._budget_spent():
-                self._log("reflection", {"generation": generation, "parent_id": parent_id,
-                                         "attempt": attempt, "outcome": "abandoned",
-                                         "error": "sample budget exhausted"})
+                self._log("reflection", **step, attempt=attempt, outcome="abandoned",
+                          error="sample budget exhausted")
                 return None
-            self._log("sample", self._sample_payload(PromptKind.REFLECTION, parent_id, generation))
+            self._log_sample(PromptKind.REFLECTION, parent_id, generation)
             ctx = self._ctx(parent_thought=thought, parent_code=code,
                             error_message=error, seed=self._seed())
             try:
                 thought, code = llm.reflect(self.provider, ctx)
             except ParseFailure as e:
                 error = str(e)
-                self._log("reflection", {"generation": generation, "parent_id": parent_id,
-                                         "attempt": attempt, "outcome": "failed", "error": error})
-                continue
-            result = self._attempt(thought, code, "reflection-repair", parent_id,
-                                   generation, reflection_attempts=attempt)
-            if isinstance(result, int):
-                # Reads no state, so it waits behind the candidate's evaluation.
-                self._pending.after.append(("reflection", {
-                    "generation": generation, "parent_id": parent_id, "attempt": attempt,
-                    "outcome": "repaired", "candidate_id": result}))
-                return result
-            error = result
-            self._log("reflection", {"generation": generation, "parent_id": parent_id,
-                                     "attempt": attempt, "outcome": "failed", "error": error})
-        self._log("reflection", {"generation": generation, "parent_id": parent_id,
-                                 "attempt": budget_b, "outcome": "abandoned", "error": error})
+            else:
+                result = self._attempt(thought, code, "reflection-repair", parent_id,
+                                       generation, reflection_attempts=attempt)
+                if isinstance(result, int):
+                    # Reads no state, so it waits behind the candidate's evaluation.
+                    self._pending.after.append(("reflection", dict(
+                        step, attempt=attempt, outcome="repaired", candidate_id=result)))
+                    return result
+                error = result
+            self._log("reflection", **step, attempt=attempt, outcome="failed", error=error)
+        self._log("reflection", **step, attempt=budget_b, outcome="abandoned", error=error)
         return None
 
     # ------------------------------------------------------------- spec ops
@@ -518,22 +550,6 @@ class EvolutionEngine:
                 ids.append(candidate_id)
         return Population.ranked(self._candidates(ids), capacity=n)
 
-    def sample_offspring(self, parent: Candidate, generation: int) -> list[Candidate]:
-        """One refinement and one innovation from `parent`; 0..2 survivors."""
-        return self._candidates(self._offspring(parent, generation))
-
-    def _offspring(self, parent: Candidate, generation: int) -> list[int]:
-        ids: list[int] = []
-        for kind, origin in ((PromptKind.REFINEMENT, "refinement"),
-                             (PromptKind.INNOVATION, "innovation")):
-            ctx = self._ctx(parent_thought=parent.thought, parent_code=parent.code,
-                            seed=self._seed())
-            candidate_id = self._sample(kind, ctx, origin=origin,
-                                        parent_id=parent.id, generation=generation)
-            if candidate_id is not None:
-                ids.append(candidate_id)
-        return ids
-
     def run(self) -> Candidate:
         """Initialize, then evolve until the budget or `max_generations` ends; the best Candidate.
 
@@ -552,17 +568,21 @@ class EvolutionEngine:
             while not self._budget_spent() and generation < cfg.max_generations:
                 generation += 1
                 offspring: list[int] = []
-                for parent in population.members:
+                for parent in population.members:  # one refinement and one innovation each
                     if self._budget_spent():
                         break
-                    offspring.extend(self._offspring(parent, generation))
+                    for kind, origin in ((PromptKind.REFINEMENT, "refinement"),
+                                         (PromptKind.INNOVATION, "innovation")):
+                        ctx = self._ctx(parent_thought=parent.thought, parent_code=parent.code,
+                                        seed=self._seed())
+                        candidate_id = self._sample(kind, ctx, origin, parent.id, generation)
+                        if candidate_id is not None:
+                            offspring.append(candidate_id)
                 candidates = list(population.members) + self._candidates(offspring)
                 population = select_next_generation(candidates, cfg)
-                self._log("selection", {
-                    "generation": generation,
-                    "candidate_ids": [c.id for c in candidates],
-                    "selected_ids": [c.id for c in population.members],
-                })
+                self._log("selection", generation=generation,
+                          candidate_ids=[c.id for c in candidates],
+                          selected_ids=[c.id for c in population.members])
                 self._summarize(generation, len(offspring), population)
             return self.state.best
         finally:
@@ -579,14 +599,10 @@ class EvolutionEngine:
         for c in population.members:
             histogram[c.category] = histogram.get(c.category, 0) + 1
         samples_before = state.summaries[-1]["cumulative_samples"] if state.summaries else 0
-        self._log("generation-summary", {
-            "generation": generation,
-            "samples_used": state.samples - samples_before,
-            "cumulative_samples": state.samples,
-            "offspring_added": offspring,
-            "best_fitness": state.best.fitness,
-            "best_candidate_id": state.best.id,
-            "category_histogram": histogram,
-            "new_categories": [label for label, g in state.category_generation.items()
-                               if g == generation],
-        })
+        self._log("generation-summary", generation=generation,
+                  samples_used=state.samples - samples_before,
+                  cumulative_samples=state.samples, offspring_added=offspring,
+                  best_fitness=state.best.fitness, best_candidate_id=state.best.id,
+                  category_histogram=histogram,
+                  new_categories=[label for label, g in state.category_generation.items()
+                                  if g == generation])

@@ -547,15 +547,17 @@ def load_suite(path: str | Path) -> BenchmarkSuite:
     """Read a suite file written by save_suite.
 
     Raises ValueError naming the file and what is wrong with it: unreadable
-    or not JSON, a missing key, or a missing or malformed instance file.
+    or not JSON, a missing or mistyped key, or a bad instance file.
     """
     path = Path(path)
     data = _read_json(path, "suite file")
     for key in ("task", "instances"):
         if key not in data:
             raise ValueError(f"suite file {path}: missing key {key!r}")
-    if not isinstance(data["instances"], list):
-        raise ValueError(f"suite file {path}: 'instances' must be a list of instance file paths")
+    for key in ("instances", "labels"):
+        value = data.get(key, [])
+        if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
+            raise ValueError(f"suite file {path}: {key!r} must be a list of strings")
     task = data["task"]
     instances = tuple(load_instance(path.parent / p, task) for p in data["instances"])
     labels = tuple(data.get("labels") or (f"inst{i}" for i in range(len(instances))))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import shutil
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -349,6 +350,18 @@ def test_cmd_replay_missing_events(tmp_path):
     assert main(["replay", str(tmp_path)]) == 2
 
 
+_EVALUATION = {"generation": 0, "candidate_id": 1, "origin": "init", "parent_id": None,
+               "category": "a", "fitness": -1.0, "gap_percent": 1.0, "instance_gaps": [1.0],
+               "reflection_attempts": 0, "thought": "t", "code": "return item"}
+_SUMMARY = {"generation": 0, "samples_used": 1, "cumulative_samples": 1, "offspring_added": 1,
+            "best_fitness": -1.0, "best_candidate_id": 1, "new_categories": ["a"],
+            "category_histogram": {"a": 1}}
+
+
+def _event_line(event: str, payload: dict) -> str:
+    return json.dumps({"seq": 0, "event": event, "payload": payload})
+
+
 _NOT_AN_EVENT = {"number": "5", "list": "[]", "empty": "{}",
                  "unknown-event": '{"event": "nope", "payload": {}}',
                  "payload-not-object": '{"event": "sample", "payload": 5}',
@@ -356,7 +369,25 @@ _NOT_AN_EVENT = {"number": "5", "list": "[]", "empty": "{}",
                  "evaluation-lacks-keys":
                      '{"seq": 0, "event": "evaluation", "payload": {"candidate_id": 1}}',
                  "summary-lacks-keys":
-                     '{"seq": 0, "event": "generation-summary", "payload": {"generation": 0}}'}
+                     '{"seq": 0, "event": "generation-summary", "payload": {"generation": 0}}',
+                 # A field of the wrong type.
+                 "label-a-list": _event_line("category-new", {"label": ["a"], "generation": 0}),
+                 "category-a-list": _event_line("evaluation", {**_EVALUATION, "category": ["a"]}),
+                 "category-a-dict": _event_line("evaluation",
+                                                {**_EVALUATION, "category": {"a": 1}}),
+                 "candidate-id-a-string": _event_line("evaluation",
+                                                      {**_EVALUATION, "candidate_id": "1"}),
+                 "candidate-id-null": _event_line("evaluation",
+                                                  {**_EVALUATION, "candidate_id": None}),
+                 "thought-not-a-string": _event_line("evaluation", {**_EVALUATION, "thought": 5}),
+                 "code-not-a-string": _event_line("evaluation",
+                                                  {**_EVALUATION, "code": ["return item"]}),
+                 "new-categories-a-number": _event_line("generation-summary",
+                                                        {**_SUMMARY, "new_categories": 5}),
+                 "summary-generation-a-string": _event_line("generation-summary",
+                                                            {**_SUMMARY, "generation": "x"}),
+                 "histogram-a-list": _event_line("generation-summary",
+                                                 {**_SUMMARY, "category_histogram": [1]})}
 
 
 @pytest.mark.parametrize("command, line", [
@@ -382,13 +413,8 @@ def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command,
     assert err.startswith(f"error: {where}") and err.count("\n") == 1, err
 
 
-_EVALUATION = {"generation": 0, "candidate_id": 1, "origin": "init", "parent_id": None,
-               "category": "a", "fitness": -1.0, "gap_percent": 1.0, "instance_gaps": [1.0],
-               "reflection_attempts": 0, "thought": "t", "code": "return item"}
-_SUMMARY = {"generation": 0, "samples_used": 1, "cumulative_samples": 1, "offspring_added": 1,
-            "best_fitness": -1.0, "best_candidate_id": 1, "new_categories": ["a"],
-            "category_histogram": {"a": 1}}
-# Well-formed events that contradict the run before them (here: nothing).
+# Events that contradict the run before them (here: nothing), or whose
+# fields break what the run before them folds to.
 _INCONSISTENT_EVENT = {
     "lone-summary": {"event": "generation-summary", "payload": _SUMMARY},
     "selection-of-unknown-id": {"event": "selection",
@@ -401,6 +427,14 @@ _INCONSISTENT_EVENT = {
     "best-fitness-not-a-number": [{"event": "evaluation", "payload": _EVALUATION},
                                   {"event": "generation-summary",
                                    "payload": {**_SUMMARY, "best_fitness": "x"}}],
+    "unhashable-label": {"event": "category-new", "payload": {"label": ["a"], "generation": 0}},
+    "best-thought-not-a-string": {"event": "evaluation", "payload": {**_EVALUATION, "thought": 5}},
+    "candidate-id-beside-an-integer": [{"event": "evaluation", "payload": _EVALUATION},
+                                       {"event": "evaluation",
+                                        "payload": {**_EVALUATION, "candidate_id": "2"}}],
+    "new-categories-not-a-list": [{"event": "evaluation", "payload": _EVALUATION},
+                                  {"event": "generation-summary",
+                                   "payload": {**_SUMMARY, "new_categories": 5}}],
 }
 
 
@@ -575,9 +609,18 @@ def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
     (tmp_path / "flat.json").write_text(json.dumps({"coords": [0.1, 0.2, 0.3]}))
     bad_coords = tmp_path / "bad_coords.json"
     bad_coords.write_text(json.dumps({"task": "tsp", "instances": ["flat.json"]}))
+    (tmp_path / "obp.json").write_text(json.dumps({"capacity": 10, "items": [1, 2]}))
+    bad_files = []
+    for name, key, value in (("int_instance", "instances", [5]),
+                             ("list_label", "labels", [[1], "b"]),
+                             ("string_labels", "labels", "ab")):
+        bad_files.append((tmp_path / f"{name}.json", (str(tmp_path / f"{name}.json"), repr(key))))
+        bad_files[-1][0].write_text(json.dumps(
+            {"task": "obp", "instances": ["obp.json", "obp.json"], key: value}))
     for suite_file, named in ((no_task, (str(no_task), "'task'")),
                               (missing_instance, (str(tmp_path / "gone.json"),)),
-                              (bad_coords, (str(tmp_path / "flat.json"), "coords"))):
+                              (bad_coords, (str(tmp_path / "flat.json"), "coords")),
+                              *bad_files):
         assert main([command, *args, "--suite-file", str(suite_file)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -772,3 +815,59 @@ def test_cmd_run_on_fuzzed_configs_and_transcripts(changed, replaced, dropped, e
         if run_dir is not None:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert main(["replay", str(run_dir)]) == 0
+
+
+# ---------------------------------------------------------------- recorded events, edited
+
+@pytest.fixture(scope="module")
+def recorded_run(tmp_path_factory) -> Path:
+    """A finished scripted run with failed, reflected and repaired candidates."""
+    tmp_path = tmp_path_factory.mktemp("recorded")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", str(write_run_config(tmp_path, _reflecting_transcript()))]) == 0
+    return single_run_dir(tmp_path)
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+                     lambda inner: (st.lists(inner, max_size=3)
+                                    | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+                     max_leaves=6)
+_EDITS = st.one_of(st.sampled_from((_DROP, [], {}, False, "", "\ud800", ["\ud800"], [[]], -1,
+                                    2**64, float("nan"), float("inf")) + _RETYPED),
+                   _JSON)
+
+
+@given(data=st.data())
+@settings(max_examples=500, deadline=None)
+def test_report_and_replay_of_one_edited_field(recorded_run, data):
+    """A recorded run with one payload field dropped, retyped or replaced:
+    `report` and `replay` exit 0, 1 or 2 with at most one error line and no
+    traceback."""
+    lines = (recorded_run / "events.jsonl").read_text().splitlines()
+    events = [json.loads(line) for line in lines]
+    # Each field of each event kind is as likely, however rare the kind.
+    kind, key = data.draw(st.sampled_from(sorted({(e["event"], k) for e in events
+                                                  for k in e["payload"]})), label="field")
+    i = data.draw(st.sampled_from([i for i, e in enumerate(events)
+                                   if e["event"] == kind and key in e["payload"]]), label="line")
+    value = data.draw(_EDITS, label="value")
+    if value is _DROP:
+        del events[i]["payload"][key]
+    else:
+        events[i]["payload"][key] = value
+    lines[i] = json.dumps(events[i], sort_keys=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp)
+        for name in ("config.json", "transcript.jsonl"):
+            shutil.copy(recorded_run / name, run_dir)
+        (run_dir / "events.jsonl").write_text("\n".join(lines) + "\n")
+        for command in ("report", "replay"):
+            # strict UTF-8, like a terminal: printing a lone surrogate fails here
+            out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+            err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main([command, str(run_dir)])  # an exception here is a traceback
+            stderr = err.buffer.getvalue().decode()
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in stderr
+            assert sum(line.startswith("error:") for line in stderr.splitlines()) <= 1, stderr

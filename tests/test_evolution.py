@@ -328,14 +328,21 @@ def seeded_engine(scripted, tb, **cfg):
     return engine, provider
 
 
+def offspring_of_one_generation(engine):
+    """Run `engine` (one parent, one generation); the parent and its offspring."""
+    engine.run()
+    parent, *kids = engine.state.candidates.values()
+    assert parent.generation_born == 0 and all(k.generation_born == 1 for k in kids)
+    return parent, kids
+
+
 def test_sample_offspring_both_valid(scripted):
     tb = init_transcript(1, cats=("greedy",))
     tb.add("refinement", ladder_response(1))
     tb.add("innovation", ladder_response(2))
     tb.add_many("category-induction", ["greedy", "novel"])
-    engine, _ = seeded_engine(scripted, tb, population_size=1)
-    parent = engine.initialize().members[0]
-    kids = engine.sample_offspring(parent, generation=1)
+    engine, _ = seeded_engine(scripted, tb, population_size=1, max_generations=1)
+    parent, kids = offspring_of_one_generation(engine)
     assert len(kids) == 2
     assert all(k.parent_id == parent.id for k in kids)
     assert [k.origin for k in kids] == ["refinement", "innovation"]
@@ -349,9 +356,8 @@ def test_sample_offspring_repair_counts_attempts(scripted):
     tb.add("reflection", BROKEN_CODE_RESPONSE)       # attempt 1 fails
     tb.add("reflection", ladder_response(3))         # attempt 2 repairs
     tb.add_many("category-induction", ["greedy", "x", "y"])
-    engine, _ = seeded_engine(scripted, tb, population_size=1)
-    parent = engine.initialize().members[0]
-    kids = engine.sample_offspring(parent, generation=1)
+    engine, _ = seeded_engine(scripted, tb, population_size=1, max_generations=1)
+    _, kids = offspring_of_one_generation(engine)
     assert len(kids) == 2
     repaired = kids[1]
     assert repaired.origin == "reflection-repair"
@@ -366,9 +372,9 @@ def test_sample_offspring_abandoned_beyond_budget(scripted):
     tb.add("refinement", BROKEN_CODE_RESPONSE)
     tb.add("innovation", BROKEN_CODE_RESPONSE)
     tb.add_many("reflection", [BROKEN_CODE_RESPONSE] * (2 * b))
-    engine, provider = seeded_engine(scripted, tb, population_size=1, reflection_budget=b)
-    parent = engine.initialize().members[0]
-    kids = engine.sample_offspring(parent, generation=1)
+    engine, provider = seeded_engine(scripted, tb, population_size=1, max_generations=1,
+                                     reflection_budget=b)
+    _, kids = offspring_of_one_generation(engine)
     assert kids == []
     # 2 + 2B samples consumed by the failed pair, plus the single init sample
     assert engine.state.samples == 1 + 2 + 2 * b
@@ -377,12 +383,13 @@ def test_sample_offspring_abandoned_beyond_budget(scripted):
 
 def test_reflection_disabled_consumes_nothing(scripted):
     tb = init_transcript(1, cats=("greedy",))
-    engine, provider = seeded_engine(scripted, tb, population_size=1, enable_reflection=False)
-    engine.initialize()
-    used_before = engine.state.samples
-    out = engine.try_reflect("t", "return frobnicate(item)", "some error")
-    assert out is None
-    assert engine.state.samples == used_before
+    tb.add("refinement", BROKEN_CODE_RESPONSE)
+    tb.add("innovation", BROKEN_CODE_RESPONSE)
+    engine, provider = seeded_engine(scripted, tb, population_size=1, max_generations=1,
+                                     enable_reflection=False)
+    _, kids = offspring_of_one_generation(engine)
+    assert kids == []  # neither failed offspring is repaired
+    assert engine.state.samples == 3  # the init and the two offspring calls only
     assert provider.calls_made("reflection") == 0
 
 
