@@ -111,7 +111,9 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -168,7 +170,7 @@ def parse_events(text: str, source: str) -> list[dict]:
             continue
         try:
             event = json.loads(line)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, RecursionError) as e:
             raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
         if not (isinstance(event, dict) and isinstance(event.get("event"), str)
                 and event["event"] in PAYLOADS and isinstance(event.get("payload"), dict)):
@@ -311,7 +313,7 @@ def _load_heuristic_code(path: Path) -> str:
         raise ValueError(f"heuristic file {path} is not UTF-8 text") from None
     try:
         data = json.loads(text)
-    except json.JSONDecodeError:
+    except (json.JSONDecodeError, RecursionError):
         return text
     if not (isinstance(data, dict) and "code" in data):
         return text

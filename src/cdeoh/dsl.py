@@ -27,7 +27,6 @@ ELEMENTWISE_BINARY = ("min", "max", "pow")
 REDUCTIONS = ("sum", "mean", "minval", "maxval", "len")
 BUILTINS = frozenset(ELEMENTWISE_UNARY + ELEMENTWISE_BINARY + REDUCTIONS + ("where",))
 
-ARITH_OPS = ("+", "-", "*", "/")
 CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
 KEYWORDS = ("let", "return")

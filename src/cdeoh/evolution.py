@@ -12,12 +12,10 @@ from __future__ import annotations
 
 import functools
 import math
-import queue
 import sys
-import threading
 import time
 import types
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, get_args, get_origin
 
@@ -330,21 +328,10 @@ def select_next_generation(candidates: Sequence[Candidate],
 @dataclass
 class _Pending:
     """A scored candidate whose category call may still be in flight."""
-    label: Future
+    label: Future | None  # None: the call was not handed off
     call: Callable[[], str]  # the category call, for the caller to claim
     evaluation: dict  # its `evaluation` payload, short of the category
     after: list[tuple[str, dict]]  # events that wait behind that evaluation
-
-
-def _work(jobs: queue.SimpleQueue) -> None:
-    """Run handed-off calls until a None arrives; skip any the caller claimed first."""
-    while (job := jobs.get()) is not None:
-        future, call = job
-        if future.set_running_or_notify_cancel():
-            try:
-                future.set_result(call())
-            except BaseException as e:  # handed to whoever reads the future
-                future.set_exception(e)
 
 
 class EvolutionEngine:
@@ -354,10 +341,11 @@ class EvolutionEngine:
     the candidate's events wait in `_pending` (at most one) until the next
     `_log` materializes them, so the event stream is that of a serial run.
     Inside `run`, when the last generation call took `HANDOFF_MIN_S` or more,
-    one worker thread takes the category call while the caller makes its next
-    generation call; a call the worker has not started yet is claimed back and
-    made on the caller's thread.  Calls of one kind never overlap, so a
-    provider that numbers the calls of each kind stays in order.
+    the category call goes to a one-thread `ThreadPoolExecutor` while the
+    caller makes its next generation call; a call the executor has not started
+    yet is claimed back and made on the caller's thread.  Calls of one kind
+    never overlap, so a provider that numbers the calls of each kind stays in
+    order.
     """
 
     def __init__(self, config: EvolutionConfig, provider, suite: BenchmarkSuite,
@@ -378,7 +366,7 @@ class EvolutionEngine:
         self._scores: dict[str, problems.EvalReport | str] = {}
         self._emit = log or (lambda event, payload: None)
         self._pending: _Pending | None = None
-        self._jobs: queue.SimpleQueue | None = None  # the worker's inbox while `run` runs
+        self._pool: ThreadPoolExecutor | None = None  # set while `run` runs
         self._hand_off = False  # the last generation call took HANDOFF_MIN_S or more
 
     # ------------------------------------------------------------- plumbing
@@ -393,12 +381,13 @@ class EvolutionEngine:
         self._emit(event, payload)
 
     def _materialize(self) -> None:
-        """Log the pending candidate: claim its category call if the worker has
-        not started it, else wait for its label."""
+        """Log the pending candidate: claim its category call if the executor
+        has not started it, else wait for its label."""
         if self._pending is None:
             return
         pending, self._pending = self._pending, None
-        category = pending.call() if pending.label.cancel() else pending.label.result()
+        label = pending.label
+        category = pending.call() if label is None or label.cancel() else label.result()
         if category not in self.state.category_counts:
             self._log("category-new", label=category,
                       generation=pending.evaluation["generation"])
@@ -459,9 +448,7 @@ class EvolutionEngine:
         candidate_id = len(self.state.candidates) + 1
         call = functools.partial(self._categorize, thought, code,
                                  tuple(sorted(self.state.category_counts)), self._seed())
-        label: Future = Future()
-        if self._jobs is not None and self._hand_off:
-            self._jobs.put((label, call))
+        label = self._pool.submit(call) if self._pool is not None and self._hand_off else None
         self._pending = _Pending(label, call, dict(
             generation=generation, candidate_id=candidate_id, origin=origin, parent_id=parent_id,
             fitness=report.fitness, gap_percent=report.gap_percent,
@@ -553,14 +540,13 @@ class EvolutionEngine:
     def run(self) -> Candidate:
         """Initialize, then evolve until the budget or `max_generations` ends; the best Candidate.
 
-        A raised error still logs the pending candidate; the worker thread
-        ends before `run` returns or raises.
+        A raised error still logs the pending candidate.  The executor starts
+        its thread on the first handoff and joins it before `run` returns or
+        raises.
         """
         cfg = self.config
-        self._jobs = queue.SimpleQueue()
-        worker = threading.Thread(target=_work, args=(self._jobs,),
-                                  name="cdeoh-category-induction", daemon=True)
-        worker.start()
+        self._pool = ThreadPoolExecutor(max_workers=1,
+                                        thread_name_prefix="cdeoh-category-induction")
         try:
             population = self.initialize()
             self._summarize(0, len(population.members), population)
@@ -586,12 +572,9 @@ class EvolutionEngine:
                 self._summarize(generation, len(offspring), population)
             return self.state.best
         finally:
-            try:
+            pool, self._pool = self._pool, None
+            with pool:  # shuts down with wait=True, also when the pending call raised
                 self._materialize()
-            finally:
-                self._jobs.put(None)
-                self._jobs = None
-                worker.join()
 
     def _summarize(self, generation: int, offspring: int, population: Population) -> None:
         state = self.state

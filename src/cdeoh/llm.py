@@ -336,7 +336,7 @@ def _transcript_entry(line: str, where: str) -> tuple[tuple[str, int], str]:
     """((kind, index), response) of one transcript line; ValueError naming `where`."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"{where}: invalid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{where}: a transcript line must be a JSON object")

@@ -559,9 +559,14 @@ def load_suite(path: str | Path) -> BenchmarkSuite:
         if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
             raise ValueError(f"suite file {path}: {key!r} must be a list of strings")
     task = data["task"]
+    if task not in TASKS:
+        raise ValueError(f"suite file {path}: unknown task {task!r}")
     instances = tuple(load_instance(path.parent / p, task) for p in data["instances"])
     labels = tuple(data.get("labels") or (f"inst{i}" for i in range(len(instances))))
-    return BenchmarkSuite(task=task, instances=instances, labels=labels)
+    try:
+        return BenchmarkSuite(task=task, instances=instances, labels=labels)
+    except ValueError as e:
+        raise ValueError(f"suite file {path}: {e}") from None
 
 
 def _read_json(path: Path, what: str) -> dict:
@@ -569,7 +574,7 @@ def _read_json(path: Path, what: str) -> dict:
         data = json.loads(path.read_text())
     except OSError as e:
         raise ValueError(f"cannot read {what} {path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ValueError(f"{what} {path} is not valid JSON: {e}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{what} {path} must hold a JSON object")

@@ -149,6 +149,31 @@ def test_suite_that_cannot_be_generated_exits_2(tmp_path, capsys, capacity):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    (None, "cannot read config file {path}: Is a directory"),
+    ("[" * 100_000, "config is not valid JSON: maximum recursion depth exceeded"),
+], ids=["directory", "nested-too-deep"])
+def test_unreadable_config_is_one_line_and_exit_2(tmp_path, capsys, content, message):
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    assert main(["run", str(cfg_path)]) == 0
+    run_dir = single_run_dir(tmp_path)
+    for path in (cfg_path, run_dir / "config.json"):
+        path.unlink()
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message.format(path=path))}"):
+            load_run_config(path)
+    capsys.readouterr()
+    for command, arg in (("run", cfg_path), ("replay", run_dir)):
+        assert main([command, str(arg)]) == 2
+        err = capsys.readouterr().err
+        want = message.format(path=arg if command == "run" else run_dir / "config.json")
+        assert err.startswith(f"error: {want}") and err.count("\n") == 1, (command, err)
+    assert main(["report", str(run_dir)]) == 0  # the report lists gaps per instance instead
+
+
 def test_config_bad_task(tmp_path):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"task": "sudoku"}))
@@ -390,23 +415,26 @@ _NOT_AN_EVENT = {"number": "5", "list": "[]", "empty": "{}",
                                                  {**_SUMMARY, "category_histogram": [1]})}
 
 
-@pytest.mark.parametrize("command, line", [
-    *(pytest.param(command, None, id=command) for command in ("replay", "report")),
-    *(pytest.param(command, line, id=f"{command}-{name}")
+@pytest.mark.parametrize("command, line, problem", [
+    *(pytest.param(command, None, "invalid JSON", id=command) for command in ("replay", "report")),
+    *(pytest.param(command, "[" * 100_000, "invalid JSON", id=f"{command}-nested-too-deep")
+      for command in ("replay", "report")),
+    *(pytest.param(command, line, "not an event", id=f"{command}-{name}")
       for command in ("replay", "report") for name, line in _NOT_AN_EVENT.items()),
 ])
-def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command, line):
-    """A line cut short by a crash (line None), or valid JSON that is not an event."""
+def test_truncated_events_line_is_one_line_and_exit_2(tmp_path, capsys, command, line, problem):
+    """A line cut short by a crash (line None), nested too deep for the JSON
+    parser, or valid JSON that is not an event."""
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
     assert main(["run", str(cfg_path)]) == 0
     events = single_run_dir(tmp_path) / "events.jsonl"
     text = events.read_text()
     if line is None:
         events.write_text(text[:-20])  # a run that crashed mid-line
-        where = f"{events}:{text.count(chr(10))}: invalid JSON: "
+        where = f"{events}:{text.count(chr(10))}: {problem}: "
     else:
         events.write_text(text + line + "\n")
-        where = f"{events}:{text.count(chr(10)) + 1}: not an event: "
+        where = f"{events}:{text.count(chr(10)) + 1}: {problem}: "
     capsys.readouterr()
     assert main([command, str(events.parent)]) == 2
     err = capsys.readouterr().err
@@ -553,6 +581,15 @@ def test_cmd_evaluate_malformed_dsl(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_cmd_evaluate_deeply_nested_json_is_read_as_dsl_text(tmp_path, capsys):
+    heuristic = tmp_path / "deep.json"
+    heuristic.write_text("[" * 100_000)
+    rc = main(["evaluate", str(heuristic), "--task", "obp",
+               "--sizes", "20", "--capacities", "50", "--seeds", "1"])
+    assert rc == 1  # like any text that is not a best.json: a DSL parse error
+    assert "line 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("content, message", [
     ('{"code": 5}', "'code' must be a string"),
     ('{"code": ["return item"]}', "'code' must be a string"),
@@ -610,6 +647,13 @@ def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
     bad_coords = tmp_path / "bad_coords.json"
     bad_coords.write_text(json.dumps({"task": "tsp", "instances": ["flat.json"]}))
     (tmp_path / "obp.json").write_text(json.dumps({"capacity": 10, "items": [1, 2]}))
+    unknown_task = tmp_path / "unknown_task.json"
+    unknown_task.write_text(json.dumps({"task": "nope", "instances": ["obp.json"]}))
+    one_label = tmp_path / "one_label.json"
+    one_label.write_text(json.dumps(
+        {"task": "obp", "instances": ["obp.json", "obp.json"], "labels": ["a"]}))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     bad_files = []
     for name, key, value in (("int_instance", "instances", [5]),
                              ("list_label", "labels", [[1], "b"]),
@@ -620,6 +664,9 @@ def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
     for suite_file, named in ((no_task, (str(no_task), "'task'")),
                               (missing_instance, (str(tmp_path / "gone.json"),)),
                               (bad_coords, (str(tmp_path / "flat.json"), "coords")),
+                              (unknown_task, (f"suite file {unknown_task}:", "'nope'")),
+                              (one_label, (f"suite file {one_label}:", "one label")),
+                              (deep, (str(deep), "not valid JSON")),
                               *bad_files):
         assert main([command, *args, "--suite-file", str(suite_file)]) == 2
         err = capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdeoh import dsl, llm, problems
+from cdeoh import dsl, evolution, llm, problems
 from cdeoh.evolution import (
     HANDOFF_MIN_S,
     BudgetExhaustedError,
@@ -731,7 +731,26 @@ def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_pa
 
 
 def _worker_threads() -> list[threading.Thread]:
-    return [t for t in threading.enumerate() if t.name == "cdeoh-category-induction"]
+    # The executor names its thread with this prefix, e.g. "cdeoh-category-induction_0".
+    return [t for t in threading.enumerate() if t.name.startswith("cdeoh-category-induction")]
+
+
+def test_instant_provider_run_starts_no_worker_thread(tmp_path, monkeypatch):
+    # A scripted call takes microseconds, but a pause of the process can stretch
+    # one past 1 ms (seen in about 1 run in 300); a wide threshold keeps every
+    # call below it, so no call is handed off.
+    monkeypatch.setattr(evolution, "HANDOFF_MIN_S", 1.0)
+
+    class WorkerWatcher(ThreadedProvider):
+        def complete(self, prompt, seed=0, temperature=None):
+            workers_seen.extend(_worker_threads())
+            return super().complete(prompt, seed=seed, temperature=temperature)
+
+    workers_seen: list[threading.Thread] = []
+    provider = WorkerWatcher(mixed_transcript().write(tmp_path / "t.jsonl"))
+    logged_run(provider, mixed_config())
+    assert sum(map(len, provider.calls.values())) > 0
+    assert workers_seen == []
 
 
 def test_no_worker_thread_outlives_run(tmp_path):

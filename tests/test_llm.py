@@ -217,6 +217,7 @@ MALFORMED_TRANSCRIPT_LINES = [
     ('{"index": 0, "response": "a"}', "missing key 'kind'"),
     ("[1,2]", "a transcript line must be a JSON object"),
     ("nope", "invalid JSON: Expecting value"),
+    pytest.param("[" * 100_000, "invalid JSON: maximum recursion depth", id="nested-too-deep"),
 ]
 
 
