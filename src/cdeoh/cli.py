@@ -110,9 +110,11 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
     except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(data, dict):

@@ -10,14 +10,16 @@ the rest.
 
 from __future__ import annotations
 
-import functools
+import contextlib
+import itertools
 import math
 import sys
 import time
 import types
+from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, get_args, get_origin
+from typing import Callable, Iterable, Iterator, Sequence, get_args, get_origin
 
 from cdeoh import dsl, llm, problems
 from cdeoh.dsl import ParseError
@@ -30,12 +32,6 @@ UNCATEGORIZED = "uncategorized"
 NO_CATEGORY_LABEL = "all"  # used when category induction is disabled
 
 LogFn = Callable[[str, dict], None]
-
-# A category call goes to the worker thread only behind a generation call at
-# least this slow: waking the worker costs about 0.06 ms of the caller's time
-# on 2 vCPU even when the caller then claims the call back, about a tenth of
-# a sample on the scripted provider.
-HANDOFF_MIN_S = 0.001
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -325,27 +321,59 @@ def select_next_generation(candidates: Sequence[Candidate],
 # Engine
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Pending:
-    """A scored candidate whose category call may still be in flight."""
-    label: Future | None  # None: the call was not handed off
-    call: Callable[[], str]  # the category call, for the caller to claim
-    evaluation: dict  # its `evaluation` payload, short of the category
-    after: list[tuple[str, dict]]  # events that wait behind that evaluation
+# Threads of a run's call pool, and requests of a wave sent ahead of the one
+# being committed.  The pool also makes the category calls, so at most this
+# many calls run on it; the caller's thread makes at most one more.
+MAX_IN_FLIGHT = 8
+
+# A call goes to the pool only after the provider's last call took this long;
+# until then it is made on the caller's thread.  A pool thread must take the
+# GIL from a caller that is simulating, which cost the caller about 2 ms per
+# call on 2 vCPU: far more than a scripted call takes (tens of microseconds).
+POOL_MIN_S = 0.001
+
+_OFFSPRING = ((PromptKind.REFINEMENT, "refinement"), (PromptKind.INNOVATION, "innovation"))
+
+
+class _Made:
+    """A call made at once on the caller's thread, read like the Future of a
+    call on the pool (a Future costs about 10 us more per call)."""
+
+    def __init__(self, fn: Callable, *args, **kwargs):
+        self._error: Exception | None = None
+        try:
+            self._value = fn(*args, **kwargs)
+        except Exception as e:  # raised by `result` only, if the call is committed
+            self._error = e
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+    def done(self) -> bool:
+        return True
+
+    def cancel(self) -> bool:
+        return False
 
 
 class EvolutionEngine:
-    """The loop, with each category-induction call hidden behind the next generation call.
+    """The loop, with the provider calls of each wave in flight together.
 
-    `_attempt` scores a candidate, starts its category call and returns its id;
-    the candidate's events wait in `_pending` (at most one) until the next
-    `_log` materializes them, so the event stream is that of a serial run.
-    Inside `run`, when the last generation call took `HANDOFF_MIN_S` or more,
-    the category call goes to a one-thread `ThreadPoolExecutor` while the
-    caller makes its next generation call; a call the executor has not started
-    yet is claimed back and made on the caller's thread.  Calls of one kind
-    never overlap, so a provider that numbers the calls of each kind stays in
-    order.
+    A wave is the initialization requests still needed, or one refinement and
+    one innovation per population member.  `_wave` renders each request with
+    its (kind, call index, seed) and keeps the `MAX_IN_FLIGHT` requests after
+    the one it commits in flight on a pool of as many threads.  It commits the
+    responses on the caller's thread in plan order: it logs the sample, scores
+    the candidate, runs a failure's reflection chain on the caller's thread and
+    sends a success's category call.  Events wait in `_queue` behind the first
+    candidate whose label has not arrived, so the event stream is that of a
+    run that makes one call at a time.  Requests past the point where the
+    sample budget runs out are never committed: their responses and errors
+    are dropped.  While the provider answers within `POOL_MIN_S`, each call is
+    made on the caller's thread when it is sent, which changes only where it
+    runs.
     """
 
     def __init__(self, config: EvolutionConfig, provider, suite: BenchmarkSuite,
@@ -365,9 +393,15 @@ class EvolutionEngine:
         # one EvalReport (one gap per instance) or message per distinct program.
         self._scores: dict[str, problems.EvalReport | str] = {}
         self._emit = log or (lambda event, payload: None)
-        self._pending: _Pending | None = None
-        self._pool: ThreadPoolExecutor | None = None  # set while `run` runs
-        self._hand_off = False  # the last generation call took HANDOFF_MIN_S or more
+        # Events logged but not yet folded; an evaluation's category may still
+        # be the Future of its category call.
+        self._queue: deque[tuple[str, dict]] = deque()
+        self._samples = 0  # sample events logged, queued or folded
+        self._last_id = 0  # candidate ids handed out, queued or folded
+        self._calls: Counter[PromptKind] = Counter()  # calls of each kind committed
+        self._known_labels: tuple[str, ...] = ()  # as of the start of the wave
+        self._pool: ThreadPoolExecutor | None = None  # open inside `run` and `initialize`
+        self._slow = False  # the provider's last call took POOL_MIN_S or more
 
     # ------------------------------------------------------------- plumbing
 
@@ -375,55 +409,156 @@ class EvolutionEngine:
         return PromptContext(**self.base_ctx, **kw)
 
     def _log(self, event: str, **payload) -> None:
+        """Queue an event, then fold and emit every queued event that is ready."""
+        self._samples += event == "sample"
+        self._queue.append((event, payload))
+        self._drain(wait=False)
+
+    def _drain(self, wait: bool = True) -> None:
+        """Fold and emit the queued events in order, a new label's `category-new`
+        before its candidate; without `wait`, stop at a label still in flight."""
+        while self._queue:
+            event, payload = self._queue[0]
+            category = payload.get("category")
+            if isinstance(category, (Future, _Made)):
+                if not (wait or category.done()):
+                    return
+                payload["category"] = category = category.result()
+            self._queue.popleft()
+            if category is not None and category not in self.state.category_counts:
+                self._fold("category-new", {"label": category,
+                                            "generation": payload["generation"]})
+            self._fold(event, payload)
+
+    def _fold(self, event: str, payload: dict) -> None:
         assert payload.keys() == payload_fields(event, payload).keys(), (event, sorted(payload))
-        self._materialize()
         self.state.apply(event, payload)
         self._emit(event, payload)
 
-    def _materialize(self) -> None:
-        """Log the pending candidate: claim its category call if the executor
-        has not started it, else wait for its label."""
-        if self._pending is None:
-            return
-        pending, self._pending = self._pending, None
-        label = pending.label
-        category = pending.call() if label is None or label.cancel() else label.result()
-        if category not in self.state.category_counts:
-            self._log("category-new", label=category,
-                      generation=pending.evaluation["generation"])
-        self._log("evaluation", **pending.evaluation, category=category)
-        for event, payload in pending.after:
-            self._log(event, **payload)
+    @contextlib.contextmanager
+    def _open_pool(self):
+        """The call pool while the body runs.  On exit, also when the body raised,
+        the queued events are logged, calls not yet started are cancelled and
+        every thread is joined."""
+        self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="cdeoh-call")
+        try:
+            yield
+        finally:
+            try:
+                self._drain()
+            finally:
+                self._pool.shutdown(wait=True, cancel_futures=True)
+                self._pool = None
+
+    def _call(self, fn: Callable, *args, **kwargs) -> Future | _Made:
+        """`fn(*args, **kwargs)`, a provider call: on the pool while the provider
+        is slow, else made now."""
+        if self._slow:
+            return self._pool.submit(self._timed, fn, *args, **kwargs)
+        return _Made(self._timed, fn, *args, **kwargs)
+
+    def _timed(self, fn: Callable, *args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            self._slow = time.perf_counter() - start >= POOL_MIN_S
 
     def _seed(self) -> int:
-        return self.config.rng_seed + self.state.samples
+        return self.config.rng_seed + self._samples
 
     def _budget_spent(self) -> bool:
-        return self.state.samples >= self.config.max_samples
+        return self._samples >= self.config.max_samples
 
     def _log_sample(self, kind: PromptKind, parent_id: int | None, generation: int) -> None:
-        self._log("sample", kind=kind.value, sample_index=self.state.samples + 1,
+        self._log("sample", kind=kind.value, sample_index=self._samples + 1,
                   parent_id=parent_id, generation=generation)
 
-    def _categorize(self, thought: str, code: str, known: tuple[str, ...], seed: int) -> str:
-        if not self.config.enable_categories:
-            return NO_CATEGORY_LABEL
-        ctx = self._ctx(parent_thought=thought, parent_code=code,
-                        known_categories=known, seed=seed)
+    def _categorize(self, ctx: PromptContext) -> str:
         try:
             return llm.induce_category(self.provider, ctx)
         except llm.ProviderError:
             return UNCATEGORIZED
 
     def _candidates(self, ids: Iterable[int]) -> list[Candidate]:
-        self._materialize()
+        self._drain()
         return [self.state.candidates[i] for i in ids]
 
     # ------------------------------------------------------------- pipeline
 
+    def _wave(self, plan: Iterable[tuple[PromptKind, str, Candidate | None]],
+              generation: int) -> list[int]:
+        """Commit the requests (kind, origin, parent) of `plan` in plan order,
+        while up to MAX_IN_FLIGHT requests after the one being committed are in
+        flight; the ids of the candidates they produced."""
+        self._drain()
+        self._known_labels = tuple(sorted(self.state.category_counts))
+        requests = self._send(plan)
+        window = deque(itertools.islice(requests, MAX_IN_FLIGHT))
+        ids: list[int] = []
+        try:
+            while window and not self._budget_spent():
+                kind, origin, parent_id, response = window.popleft()
+                window.extend(itertools.islice(requests, 1))
+                self._calls[kind] += 1
+                candidate_id = self._commit(kind, origin, parent_id, generation, response)
+                if candidate_id is not None:
+                    ids.append(candidate_id)
+        finally:
+            for *_, response in window:
+                response.cancel()  # never committed; dropped if it has started
+        return ids
+
+    def _send(self, plan: Iterable[tuple[PromptKind, str, Candidate | None]]
+              ) -> Iterator[tuple[PromptKind, str, int | None, Future | _Made]]:
+        """Render and send each request of `plan` as it is pulled, up to the
+        sample budget left at the first pull.
+
+        Its index counts the calls of its kind committed before the wave plus
+        those ahead of it in the plan, and its seed is the sample count at the
+        wave's start plus its position.  Only the tail of a wave goes
+        uncommitted, so the index is that of a run making one call at a time.
+        """
+        samples, committed, ahead = self._samples, Counter(self._calls), Counter()
+        for position, (kind, origin, parent) in enumerate(plan):
+            if samples + position >= self.config.max_samples:
+                return
+            parent_ctx = {} if parent is None else dict(parent_thought=parent.thought,
+                                                        parent_code=parent.code)
+            ctx = self._ctx(**parent_ctx, seed=self.config.rng_seed + samples + position,
+                            index=committed[kind] + ahead[kind])
+            ahead[kind] += 1
+            prompt = llm.render_prompt(kind, ctx, self.provider.config.max_prompt_bytes)
+            yield kind, origin, None if parent is None else parent.id, self._call(
+                self.provider.complete, prompt, seed=ctx.seed,
+                temperature=self.provider.config.temperature)
+
+    def _commit(self, kind: PromptKind, origin: str, parent_id: int | None, generation: int,
+                response: Future | _Made) -> int | None:
+        """One generation call's sample plus, on failure, the reflection loop; a
+        candidate id or None.  A ProviderError of the call is raised after its
+        `sample` event is logged."""
+        try:
+            raw = response.result()
+        finally:
+            self._log_sample(kind, parent_id, generation)
+        try:
+            thought, code = llm.parse_generation(raw)
+        except ParseFailure as e:
+            # Give reflection whatever there is to work with.
+            thought = e.thought or "(no thought block provided)"
+            code = e.code or raw
+            self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
+                      error=str(e))
+            return self._reflect(thought, code, str(e), parent_id, generation)
+        result = self._attempt(thought, code, origin, parent_id, generation)
+        if isinstance(result, int):
+            return result
+        return self._reflect(thought, code, result, parent_id, generation)
+
     def _attempt(self, thought: str, code: str, origin: str, parent_id: int | None,
                  generation: int, reflection_attempts: int = 0) -> int | str:
-        """Compile + score (once per distinct tree) + start the category call;
+        """Compile + score (once per distinct tree) + send the category call;
         the candidate id or an error."""
         try:
             program = dsl.parse(code, self.signature)
@@ -442,53 +577,27 @@ class EvolutionEngine:
             self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
                       error=report)
             return report
-        # Every path here logged this candidate's sample, so nothing is pending
-        # and the known labels include the previous candidate's.
-        assert self._pending is None
-        candidate_id = len(self.state.candidates) + 1
-        call = functools.partial(self._categorize, thought, code,
-                                 tuple(sorted(self.state.category_counts)), self._seed())
-        label = self._pool.submit(call) if self._pool is not None and self._hand_off else None
-        self._pending = _Pending(label, call, dict(
-            generation=generation, candidate_id=candidate_id, origin=origin, parent_id=parent_id,
-            fitness=report.fitness, gap_percent=report.gap_percent,
-            instance_gaps=[r.gap_percent for r in report.per_instance],
-            reflection_attempts=reflection_attempts, thought=thought, code=code), [])
-        return candidate_id
-
-    def _sample(self, kind: PromptKind, ctx: PromptContext, origin: str,
-                parent_id: int | None, generation: int) -> int | None:
-        """One generation call plus, on failure, the reflection loop; a candidate id or None.
-
-        The call is made before its `sample` event is logged, so a pending
-        category call runs behind it.
-        """
-        if self._budget_spent():
-            return None
-        try:
-            prompt = llm.render_prompt(kind, ctx, self.provider.config.max_prompt_bytes)
-            start = time.perf_counter()
-            raw = self.provider.complete(prompt, seed=ctx.seed,
-                                         temperature=self.provider.config.temperature)
-            self._hand_off = time.perf_counter() - start >= HANDOFF_MIN_S
-        finally:
-            self._log_sample(kind, parent_id, generation)
-        try:
-            thought, code = llm.parse_generation(raw)
-        except ParseFailure as e:
-            # Give reflection whatever there is to work with.
-            thought = e.thought or "(no thought block provided)"
-            code = e.code or raw
-            self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
-                      error=str(e))
-            return self._reflect(thought, code, str(e), parent_id, generation)
-        result = self._attempt(thought, code, origin, parent_id, generation)
-        if isinstance(result, int):
-            return result
-        return self._reflect(thought, code, result, parent_id, generation)
+        self._last_id += 1
+        if self.config.enable_categories:
+            kind = PromptKind.CATEGORY_INDUCTION
+            ctx = self._ctx(parent_thought=thought, parent_code=code,
+                            known_categories=self._known_labels, seed=self._seed(),
+                            index=self._calls[kind])
+            self._calls[kind] += 1
+            category = self._call(self._categorize, ctx)
+        else:
+            category = NO_CATEGORY_LABEL
+        self._log("evaluation", generation=generation, candidate_id=self._last_id, origin=origin,
+                  parent_id=parent_id, category=category, fitness=report.fitness,
+                  gap_percent=report.gap_percent,
+                  instance_gaps=[r.gap_percent for r in report.per_instance],
+                  reflection_attempts=reflection_attempts, thought=thought, code=code)
+        return self._last_id
 
     def _reflect(self, thought: str, code: str, error: str,
                  parent_id: int | None, generation: int) -> int | None:
+        """The reflection chain, on the caller's thread: each attempt's index and
+        prompt depend on the outcome of the one before."""
         budget_b = self.config.reflection_budget
         step = {"generation": generation, "parent_id": parent_id}
         if not self.config.enable_reflection or budget_b < 1:
@@ -500,8 +609,9 @@ class EvolutionEngine:
                           error="sample budget exhausted")
                 return None
             self._log_sample(PromptKind.REFLECTION, parent_id, generation)
-            ctx = self._ctx(parent_thought=thought, parent_code=code,
-                            error_message=error, seed=self._seed())
+            ctx = self._ctx(parent_thought=thought, parent_code=code, error_message=error,
+                            seed=self._seed(), index=self._calls[PromptKind.REFLECTION])
+            self._calls[PromptKind.REFLECTION] += 1
             try:
                 thought, code = llm.reflect(self.provider, ctx)
             except ParseFailure as e:
@@ -510,9 +620,8 @@ class EvolutionEngine:
                 result = self._attempt(thought, code, "reflection-repair", parent_id,
                                        generation, reflection_attempts=attempt)
                 if isinstance(result, int):
-                    # Reads no state, so it waits behind the candidate's evaluation.
-                    self._pending.after.append(("reflection", dict(
-                        step, attempt=attempt, outcome="repaired", candidate_id=result)))
+                    self._log("reflection", **step, attempt=attempt, outcome="repaired",
+                              candidate_id=result)
                     return result
                 error = result
             self._log("reflection", **step, attempt=attempt, outcome="failed", error=error)
@@ -523,47 +632,38 @@ class EvolutionEngine:
 
     def initialize(self) -> Population:
         """Sample initialization prompts until N viable candidates exist."""
+        with self._open_pool():
+            return self._initialize()
+
+    def _initialize(self) -> Population:
+        # Each request gives at most one viable candidate, so a wave of the
+        # ones still missing makes exactly the requests of a one-at-a-time run.
         n = self.config.population_size
         ids: list[int] = []
         while len(ids) < n:
             if self._budget_spent():
-                self._materialize()
                 raise BudgetExhaustedError(
                     f"sample budget ({self.config.max_samples}) exhausted with only "
                     f"{len(ids)} of {n} initial candidates")
-            candidate_id = self._sample(PromptKind.INITIALIZATION, self._ctx(seed=self._seed()),
-                                        origin="init", parent_id=None, generation=0)
-            if candidate_id is not None:
-                ids.append(candidate_id)
+            ids += self._wave(((PromptKind.INITIALIZATION, "init", None)
+                               for _ in range(n - len(ids))), generation=0)
         return Population.ranked(self._candidates(ids), capacity=n)
 
     def run(self) -> Candidate:
         """Initialize, then evolve until the budget or `max_generations` ends; the best Candidate.
 
-        A raised error still logs the pending candidate.  The executor starts
-        its thread on the first handoff and joins it before `run` returns or
-        raises.
+        A raised error still logs the events before it, and no thread of the
+        call pool outlives `run`.
         """
         cfg = self.config
-        self._pool = ThreadPoolExecutor(max_workers=1,
-                                        thread_name_prefix="cdeoh-category-induction")
-        try:
-            population = self.initialize()
+        with self._open_pool():
+            population = self._initialize()
             self._summarize(0, len(population.members), population)
             generation = 0
             while not self._budget_spent() and generation < cfg.max_generations:
                 generation += 1
-                offspring: list[int] = []
-                for parent in population.members:  # one refinement and one innovation each
-                    if self._budget_spent():
-                        break
-                    for kind, origin in ((PromptKind.REFINEMENT, "refinement"),
-                                         (PromptKind.INNOVATION, "innovation")):
-                        ctx = self._ctx(parent_thought=parent.thought, parent_code=parent.code,
-                                        seed=self._seed())
-                        candidate_id = self._sample(kind, ctx, origin, parent.id, generation)
-                        if candidate_id is not None:
-                            offspring.append(candidate_id)
+                offspring = self._wave(((kind, origin, parent) for parent in population.members
+                                        for kind, origin in _OFFSPRING), generation)
                 candidates = list(population.members) + self._candidates(offspring)
                 population = select_next_generation(candidates, cfg)
                 self._log("selection", generation=generation,
@@ -571,10 +671,6 @@ class EvolutionEngine:
                           selected_ids=[c.id for c in population.members])
                 self._summarize(generation, len(offspring), population)
             return self.state.best
-        finally:
-            pool, self._pool = self._pool, None
-            with pool:  # shuts down with wait=True, also when the pending call raised
-                self._materialize()
 
     def _summarize(self, generation: int, offspring: int, population: Population) -> None:
         state = self.state

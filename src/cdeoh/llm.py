@@ -8,7 +8,11 @@ chat-completions endpoint.
 
 Transcript files are JSONL, one object per line:
     {"kind": str, "index": int, "response": str}
-keyed by prompt kind and a per-kind monotone call index.
+keyed by prompt kind and a per-kind monotone call index.  Every rendered
+prompt carries that key in its header, e.g.
+`[prompt-kind: refinement] [call: 17] [variation-seed: 42]`, and the
+scripted provider reads it from there, so a transcript answers the same
+calls in whatever order they arrive.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-
-import requests
 
 API_KEY_ENV = "CDEOH_API_KEY"
 BASE_URL_ENV = "CDEOH_BASE_URL"
@@ -94,6 +96,7 @@ class PromptContext:
     error_message: str | None = None
     known_categories: tuple[str, ...] = ()
     seed: int = 0
+    index: int = 0  # calls of this prompt's kind made before it in the run
 
 
 @dataclass
@@ -139,8 +142,8 @@ return -(cap_remaining - item)
 No other braces or fences."""
 
 
-def _header(kind: PromptKind, seed: int) -> str:
-    return f"[prompt-kind: {kind.value}] [variation-seed: {seed}]"
+def _header(kind: PromptKind, index: int, seed: int) -> str:
+    return f"[prompt-kind: {kind.value}] [call: {index}] [variation-seed: {seed}]"
 
 
 def _parent_block(ctx: PromptContext) -> str:
@@ -149,7 +152,7 @@ def _parent_block(ctx: PromptContext) -> str:
 
 
 def _render_once(kind: PromptKind, ctx: PromptContext) -> str:
-    head = _header(kind, ctx.seed)
+    head = _header(kind, ctx.index, ctx.seed)
     common = (f"{head}\n\nTask:\n{ctx.task_description}\n\n"
               f"Write programs in this language only:\n{ctx.dsl_grammar}\n")
     if kind is PromptKind.INITIALIZATION:
@@ -226,6 +229,17 @@ def prompt_kind_of(prompt: str) -> PromptKind:
     raise ValueError("prompt does not carry a kind tag header")
 
 
+def prompt_key_of(prompt: str) -> tuple[PromptKind, int]:
+    """The (kind, call index) a rendered prompt's header carries."""
+    kind = prompt_kind_of(prompt)
+    rest = prompt.split("\n", 1)[0].split("] ", 1)[-1]
+    if rest.startswith("[call: "):
+        digits = rest[len("[call: "):].split("]", 1)[0]
+        if digits.isascii() and digits.isdigit():
+            return kind, int(digits)
+    raise ValueError("prompt does not carry a call tag in its header")
+
+
 # --------------------------------------------------------------------------
 # Response parsing
 # --------------------------------------------------------------------------
@@ -297,13 +311,14 @@ def canonical_label(text: str) -> str:
 # --------------------------------------------------------------------------
 
 class ScriptedProvider:
-    """Replays a transcript keyed by (kind, per-kind monotone call index)."""
+    """Replays a transcript keyed by (kind, per-kind monotone call index), the
+    key each prompt's header carries; safe to call from several threads."""
 
     def __init__(self, transcript_path: str | Path,
                  config: ProviderConfig | None = None):
         self.config = config or ProviderConfig(provider="scripted", transcript_path=str(transcript_path))
         self._entries: dict[tuple[str, int], str] = {}
-        self._counters: dict[str, int] = {}
+        self._kinds_called: list[str] = []  # list.append is atomic
         path = Path(transcript_path)
         try:
             text = path.read_text()
@@ -318,12 +333,12 @@ class ScriptedProvider:
             self._entries[key] = response
 
     def calls_made(self, kind: str | PromptKind) -> int:
-        return self._counters.get(PromptKind(kind).value, 0)
+        return self._kinds_called.count(PromptKind(kind).value)
 
     def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
-        kind = prompt_kind_of(prompt).value
-        index = self._counters.get(kind, 0)
-        self._counters[kind] = index + 1
+        kind, index = prompt_key_of(prompt)
+        kind = kind.value
+        self._kinds_called.append(kind)
         try:
             return self._entries[(kind, index)]
         except KeyError:
@@ -371,38 +386,55 @@ class HttpProvider:
             raise ValueError(f"{API_KEY_ENV} is not set (the key is never read from config files)")
 
     def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
-        """Network errors, 429 and 5xx are retried after `backoff`, doubled each time."""
+        """Network errors, 429 and 5xx are retried after `backoff`, doubled each
+        time; a 429's `Retry-After` in whole seconds replaces that one wait."""
+        import http.client
+        import urllib.error
+        import urllib.request
+
         temp = self.config.temperature if temperature is None else temperature
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
             "temperature": temp,
         }
-        headers = {"Authorization": f"Bearer {self.api_key}"}
-        url = f"{self.base_url}/chat/completions"
+        request = urllib.request.Request(
+            f"{self.base_url}/chat/completions", data=json.dumps(body).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self.api_key}",
+                     "Content-Type": "application/json"}, method="POST")
         backoff = self.config.retry_backoff_s
+        wait = backoff
         last: ProviderError | None = None
         for attempt in range(1, self.config.max_retries + 1):
             if last is not None:
-                time.sleep(backoff)
+                time.sleep(wait)
                 backoff *= 2
+                wait = backoff
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=120)
-            except requests.RequestException as e:
+                try:
+                    with urllib.request.urlopen(request, timeout=120) as resp:
+                        status, headers, text = resp.status, resp.headers, resp.read()
+                except urllib.error.HTTPError as e:  # a 4xx or 5xx answer, body still to read
+                    with e:
+                        status, headers, text = e.code, e.headers, e.read()
+            except (OSError, http.client.HTTPException) as e:
                 last = ProviderError("network", f"attempt {attempt}: {e}")
                 continue
-            if resp.status_code == 429:
+            if status == 429:
+                retry_after = (headers.get("Retry-After") or "").strip()
+                if retry_after.isascii() and retry_after.isdigit():  # seconds, not an HTTP-date
+                    wait = int(retry_after)
                 last = ProviderError("rate-limited-exhausted", f"attempt {attempt}: rate limited (429)")
                 continue
-            if resp.status_code >= 500:
-                last = ProviderError("http-status",
-                                     f"attempt {attempt}: server returned {resp.status_code}")
+            if status >= 500:
+                last = ProviderError("http-status", f"attempt {attempt}: server returned {status}")
                 continue
-            if resp.status_code != 200:
-                raise ProviderError("http-status", f"server returned {resp.status_code}: {resp.text[:200]}")
+            if status != 200:
+                detail = text.decode("utf-8", errors="replace")[:200]
+                raise ProviderError("http-status", f"server returned {status}: {detail}")
             try:
-                content = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as e:
+                content = json.loads(text)["choices"][0]["message"]["content"]
+            except (ValueError, KeyError, IndexError, TypeError, RecursionError) as e:
                 raise ProviderError("malformed-response", f"cannot read completion: {e}") from e
             if not isinstance(content, str):
                 raise ProviderError("malformed-response", "message content is not text")

@@ -152,7 +152,8 @@ def test_suite_that_cannot_be_generated_exits_2(tmp_path, capsys, capacity):
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read config file {path}: Is a directory"),
     ("[" * 100_000, "config is not valid JSON: maximum recursion depth exceeded"),
-], ids=["directory", "nested-too-deep"])
+    (b'{"task": "obp\xff"}', "config file {path} is not UTF-8 text"),
+], ids=["directory", "nested-too-deep", "not-utf-8"])
 def test_unreadable_config_is_one_line_and_exit_2(tmp_path, capsys, content, message):
     cfg_path = write_run_config(tmp_path, three_gen_transcript())
     assert main(["run", str(cfg_path)]) == 0
@@ -161,6 +162,8 @@ def test_unreadable_config_is_one_line_and_exit_2(tmp_path, capsys, content, mes
         path.unlink()
         if content is None:
             path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
         else:
             path.write_text(content)
         with pytest.raises(ConfigError, match=f"^{re.escape(message.format(path=path))}"):

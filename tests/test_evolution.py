@@ -2,6 +2,7 @@ import math
 import random
 import threading
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from cdeoh import dsl, evolution, llm, problems
 from cdeoh.evolution import (
-    HANDOFF_MIN_S,
     BudgetExhaustedError,
     Candidate,
     EvolutionConfig,
@@ -254,22 +254,27 @@ def test_initialize_scripted_population(scripted):
 
 
 def test_category_induction_lists_known_labels_sorted(scripted):
-    provider = scripted(init_transcript(cats=("greedy", "dp", "threshold")))
-    prompts = []
+    # The known labels are fixed at the start of each wave: the initial
+    # population's category calls see none, generation 1's see its three.
+    tb = init_transcript(cats=("greedy", "dp", "threshold"))
+    tb.add_many("refinement", [ladder_response(t) for t in (3, 4, 5)])
+    tb.add_many("innovation", [ladder_response(t) for t in (1, 2, 3)])
+    tb.add_many("category-induction", ["greedy"] * 6)
+    provider = scripted(tb)
+    prompts = {}
     complete = provider.complete
 
     def recording_complete(prompt, **kw):
-        prompts.append(prompt)
+        prompts[llm.prompt_key_of(prompt)] = prompt
         return complete(prompt, **kw)
 
     provider.complete = recording_complete
-    EvolutionEngine(config(), provider, ladder_suite()).initialize()
-    induction = [p for p in prompts if "Known categories so far:" in p]
-    assert len(induction) == 3
-    assert "Known categories so far:\n  (none yet)\n" in induction[0]
-    assert "Known categories so far:\n  - greedy\n" in induction[1]
-    # labels arrived as greedy, dp; the prompt lists them sorted
-    assert "Known categories so far:\n  - dp\n  - greedy\n" in induction[2]
+    EvolutionEngine(config(max_generations=1), provider, ladder_suite()).run()
+    induction = [prompts[(PromptKind.CATEGORY_INDUCTION, i)] for i in range(9)]
+    assert all("Known categories so far:\n  (none yet)\n" in p for p in induction[:3])
+    # labels arrived as greedy, dp, threshold; the prompt lists them sorted
+    assert all("Known categories so far:\n  - dp\n  - greedy\n  - threshold\n" in p
+               for p in induction[3:])
 
 
 def test_initialize_default_population_of_ten(scripted):
@@ -598,7 +603,7 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     assert sum("error" in p for p in evaluations) == 3
 
 
-# ---------------------------------------------------------------- engine: overlapped calls
+# ---------------------------------------------------------------- engine: concurrent waves
 
 WAIT_S = 5.0  # bounds every wait between two provider calls, so a serial engine fails, not hangs
 
@@ -637,39 +642,44 @@ class ThreadedProvider(ScriptedProvider):
     """A scripted provider that records what a concurrent engine does to it.
 
     With `delay_seed` set, each call first sleeps a delay drawn from
-    (seed, kind, per-kind index), so it depends on the call, not its timing;
-    some delays fall below HANDOFF_MIN_S and some above.
+    (seed, kind, call index), so it depends on the call, not on its timing;
+    some delays fall below POOL_MIN_S and some above.  `delay_s` fixes the
+    delay instead.
     """
 
-    def __init__(self, path, delay_seed: int | None = None):
+    def __init__(self, path, delay_seed: int | None = None, delay_s: float | None = None):
         super().__init__(path)
         self.delay_seed = delay_seed
-        # kind -> (prompt, seed, temperature) of each call, in call order
-        self.calls: dict[str, list[tuple[str, int, float | None]]] = {}
-        self.category_threads: list[threading.Thread] = []
-        self.in_flight: list[str] = []
-        self.max_in_flight = 0
+        self.delay_s = delay_s
+        self.caller = threading.current_thread()
+        # (kind, index) -> (prompt, seed, temperature) of each call
+        self.calls: dict[tuple[str, int], tuple[str, int, float | None]] = {}
+        self.thread_names: set[str] = set()
+        self.in_flight: list[tuple[str, bool]] = []  # (kind, made on the pool) per call
+        self.max_in_flight = self.max_on_pool = 0
         self.same_kind_overlaps = 0
         self._lock = threading.Lock()
 
     def complete(self, prompt, seed=0, temperature=None):
-        kind = llm.prompt_kind_of(prompt).value
+        kind, index = llm.prompt_key_of(prompt)
+        call = (kind.value, threading.current_thread() is not self.caller)
         with self._lock:
-            self.same_kind_overlaps += kind in self.in_flight
-            self.in_flight.append(kind)
+            self.same_kind_overlaps += any(k == kind.value for k, _ in self.in_flight)
+            self.in_flight.append(call)
             self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
-            index = len(self.calls.setdefault(kind, []))
-            self.calls[kind].append((prompt, seed, temperature))
-            if kind == PromptKind.CATEGORY_INDUCTION.value:
-                self.category_threads.append(threading.current_thread())
+            self.max_on_pool = max(self.max_on_pool, sum(pool for _, pool in self.in_flight))
+            self.calls[(kind.value, index)] = (prompt, seed, temperature)
+            self.thread_names.add(threading.current_thread().name)
         try:
-            if self.delay_seed is not None:
-                rng = random.Random(f"{self.delay_seed}:{kind}:{index}")
-                time.sleep(rng.uniform(HANDOFF_MIN_S / 2, 6 * HANDOFF_MIN_S))
+            if self.delay_s is not None:
+                time.sleep(self.delay_s)
+            elif self.delay_seed is not None:
+                rng = random.Random(f"{self.delay_seed}:{kind.value}:{index}")
+                time.sleep(rng.uniform(evolution.POOL_MIN_S / 2, 6 * evolution.POOL_MIN_S))
             return super().complete(prompt, seed=seed, temperature=temperature)
         finally:
             with self._lock:
-                self.in_flight.remove(kind)
+                self.in_flight.remove(call)
 
 
 def logged_run(provider, cfg) -> list[tuple[str, dict]]:
@@ -682,19 +692,19 @@ def test_category_call_overlaps_the_next_generation_call(tmp_path):
     class FirstCategoryWaitsForGeneration(ScriptedProvider):
         """The first category call returns once the second initialization call
         has started; that call waits until the category call has started.
-        Generation calls are slow enough to be worth a handoff."""
+        Generation calls are slow enough to go to the pool."""
         overlapped = None
 
         def complete(self, prompt, seed=0, temperature=None):
-            kind = llm.prompt_kind_of(prompt)
-            if kind is PromptKind.CATEGORY_INDUCTION and self.overlapped is None:
+            key = llm.prompt_key_of(prompt)
+            if key == (PromptKind.CATEGORY_INDUCTION, 0):
                 category_started.set()
                 self.overlapped = generation_started.wait(WAIT_S)
-            elif kind is not PromptKind.CATEGORY_INDUCTION:
-                if kind is PromptKind.INITIALIZATION and self.calls_made(kind) == 1:
+            elif key[0] is not PromptKind.CATEGORY_INDUCTION:
+                if key == (PromptKind.INITIALIZATION, 1):
                     generation_started.set()
                     category_started.wait(WAIT_S)
-                time.sleep(2 * HANDOFF_MIN_S)
+                time.sleep(2 * evolution.POOL_MIN_S)
             return super().complete(prompt, seed=seed, temperature=temperature)
 
     category_started, generation_started = threading.Event(), threading.Event()
@@ -706,40 +716,83 @@ def test_category_call_overlaps_the_next_generation_call(tmp_path):
     assert time.monotonic() - start < WAIT_S
 
 
+def wide_transcript(n: int) -> TranscriptBuilder:
+    """A population of n and one generation of valid responses."""
+    tb = TranscriptBuilder()
+    for kind in ("initialization", "refinement", "innovation"):
+        tb.add_many(kind, [ladder_response(t % 6) for t in range(n)])
+    tb.add_many("category-induction", [f"cat-{t % 4}" for t in range(3 * n)])
+    return tb
+
+
+@pytest.mark.parametrize("limit", [3, evolution.MAX_IN_FLIGHT])
+def test_calls_of_one_kind_overlap_and_at_most_max_in_flight_run_on_the_pool(
+        tmp_path, monkeypatch, limit):
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
+    n = 5  # 10 requests in generation 1, more than either limit
+    provider = ThreadedProvider(wide_transcript(n).write(tmp_path / "t.jsonl"), delay_s=0.1)
+    logged_run(provider, config(population_size=n, max_generations=1))
+    assert provider.same_kind_overlaps > 0
+    assert provider.max_on_pool == limit  # every call is slow enough to fill the pool
+    assert provider.max_in_flight == limit  # no reflection on the caller's thread here
+
+
 @pytest.mark.parametrize("delay_seed", [1, 2, 3])
-def test_random_call_delays_leave_events_and_prompts_unchanged(tmp_path, delay_seed):
+def test_random_call_delays_leave_events_and_prompts_unchanged(tmp_path, monkeypatch,
+                                                                delay_seed):
     path = mixed_transcript().write(tmp_path / "t.jsonl")
-    instant, delayed = ThreadedProvider(path), ThreadedProvider(path, delay_seed)
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
+    instant = ThreadedProvider(path)
     want = logged_run(instant, mixed_config())
-    assert logged_run(delayed, mixed_config()) == want
-    assert delayed.calls == instant.calls  # per kind: prompt, seed and temperature, in order
+    for limit in (1, 2, 8):
+        monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
+        delayed = ThreadedProvider(path, delay_seed)
+        assert logged_run(delayed, mixed_config()) == want, limit
+        assert delayed.calls == instant.calls, limit  # (kind, index) -> prompt, seed, temperature
+        assert sum(map(delayed.calls_made, PromptKind)) == len(delayed.calls)  # none lost
     assert {"repaired", "abandoned"} <= {p["outcome"] for e, p in want if e == "reflection"}
 
 
-def test_no_two_calls_of_one_kind_are_in_flight_at_once(tmp_path):
-    provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"), delay_seed=7)
-    logged_run(provider, mixed_config())
-    assert provider.same_kind_overlaps == 0
-    assert provider.max_in_flight == 2  # a category call did overlap a generation call
+@pytest.mark.parametrize("limit", [1, 8])
+def test_budget_spent_mid_wave_on_an_exact_length_transcript_ends_normally(
+        tmp_path, monkeypatch, limit):
+    # 12 samples: generation 2 plans 3 requests, but the innovation's
+    # reflections spend the budget before the third is committed.
+    cfg = mixed_config(max_samples=12)
+    full = mixed_transcript()
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
+    want = logged_run(ScriptedProvider(full.write(tmp_path / "full.jsonl")), cfg)
+    used = Counter(p["kind"] for e, p in want if e == "sample")
+    used["category-induction"] = sum(e == "evaluation" and "candidate_id" in p for e, p in want)
+    exact = TranscriptBuilder()
+    exact.entries = [e for e in full.entries if e[1] < used[e[0]]]
+    dropped = {e[:2] for e in full.entries} - {e[:2] for e in exact.entries}
+    assert ("refinement", 3) in dropped  # planned in generation 2, never committed
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
+    provider = ThreadedProvider(exact.write(tmp_path / "exact.jsonl"))
+    assert logged_run(provider, cfg) == want
+    assert want[-1][0] == "generation-summary" and want[-1][1]["cumulative_samples"] == 12
 
 
-def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_path):
+def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_path,
+                                                                          monkeypatch):
+    # A scripted call takes microseconds, but a pause of the process can stretch
+    # one past 1 ms (seen in about 1 run in 300); a wide threshold keeps every
+    # call below it, so every call is made on the caller's thread.
+    monkeypatch.setattr(evolution, "POOL_MIN_S", 1.0)
     provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"))
     logged_run(provider, mixed_config())
-    assert len(provider.category_threads) == 9
-    assert set(provider.category_threads) == {threading.current_thread()}
+    assert sum(kind == "category-induction" for kind, _ in provider.calls) == 9
+    assert provider.thread_names == {threading.current_thread().name}
 
 
 def _worker_threads() -> list[threading.Thread]:
-    # The executor names its thread with this prefix, e.g. "cdeoh-category-induction_0".
-    return [t for t in threading.enumerate() if t.name.startswith("cdeoh-category-induction")]
+    # The executor names its threads with this prefix, e.g. "cdeoh-call_0".
+    return [t for t in threading.enumerate() if t.name.startswith("cdeoh-")]
 
 
 def test_instant_provider_run_starts_no_worker_thread(tmp_path, monkeypatch):
-    # A scripted call takes microseconds, but a pause of the process can stretch
-    # one past 1 ms (seen in about 1 run in 300); a wide threshold keeps every
-    # call below it, so no call is handed off.
-    monkeypatch.setattr(evolution, "HANDOFF_MIN_S", 1.0)
+    monkeypatch.setattr(evolution, "POOL_MIN_S", 1.0)  # as in the test above
 
     class WorkerWatcher(ThreadedProvider):
         def complete(self, prompt, seed=0, temperature=None):
@@ -749,7 +802,7 @@ def test_instant_provider_run_starts_no_worker_thread(tmp_path, monkeypatch):
     workers_seen: list[threading.Thread] = []
     provider = WorkerWatcher(mixed_transcript().write(tmp_path / "t.jsonl"))
     logged_run(provider, mixed_config())
-    assert sum(map(len, provider.calls.values())) > 0
+    assert len(provider.calls) > 0
     assert workers_seen == []
 
 
@@ -757,6 +810,7 @@ def test_no_worker_thread_outlives_run(tmp_path):
     tb = mixed_transcript()
     provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
     logged_run(provider, mixed_config())
+    assert any(name.startswith("cdeoh-call") for name in provider.thread_names)
     assert _worker_threads() == []
     tb.entries = [e for e in tb.entries if e[:2] != ("innovation", 1)]
     provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
@@ -771,12 +825,12 @@ def test_generation_error_while_a_category_call_is_in_flight_keeps_its_events(tm
 
     class SlowCategoryThenMissingInnovation(ScriptedProvider):
         def complete(self, prompt, seed=0, temperature=None):
-            kind = llm.prompt_kind_of(prompt)
-            if kind is PromptKind.CATEGORY_INDUCTION and self.calls_made(kind) == 2:
+            kind, index = llm.prompt_key_of(prompt)
+            if kind is PromptKind.CATEGORY_INDUCTION and index == 2:
                 category_started.set()
                 time.sleep(0.05)
             elif kind is PromptKind.REFINEMENT:
-                time.sleep(2 * HANDOFF_MIN_S)  # worth a handoff
+                time.sleep(2 * evolution.POOL_MIN_S)  # slow enough to go to the pool
             elif kind is PromptKind.INNOVATION:
                 category_started.wait(WAIT_S)
             return super().complete(prompt, seed=seed, temperature=temperature)

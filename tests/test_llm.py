@@ -91,16 +91,20 @@ def test_prompt_byte_budget_truncates_parent_code_tail_first():
 def test_prompt_at_the_smallest_budget_keeps_its_kind_header():
     seed = 10 ** 40  # the longest header a caller is likely to render
     for kind in PromptKind:
-        text = render_prompt(kind, full_ctx(parent_code="x" * 5000, seed=seed),
+        text = render_prompt(kind, full_ctx(parent_code="x" * 5000, seed=seed, index=seed),
                              max_bytes=llm.MIN_PROMPT_BYTES)
         assert len(text.encode()) <= llm.MIN_PROMPT_BYTES
         assert llm.prompt_kind_of(text) is kind
+        assert llm.prompt_key_of(text) == (kind, seed)
 
 
 def test_prompt_kind_tag_round_trip():
     for kind in PromptKind:
         text = render_prompt(kind, full_ctx())
         assert llm.prompt_kind_of(text) is kind
+        text = render_prompt(kind, full_ctx(index=17, seed=42))
+        assert text.startswith(f"[prompt-kind: {kind.value}] [call: 17] [variation-seed: 42]\n")
+        assert llm.prompt_key_of(text) == (kind, 17)
 
 
 # ---------------------------------------------------------------- parsing
@@ -188,19 +192,29 @@ def test_scripted_provider_replays_by_kind_and_index(tmp_path):
         ("initialization", 1, "second"),
         ("reflection", 0, "fix"),
     ])
-    p_init = render_prompt(PromptKind.INITIALIZATION, ctx())
+    p_init = [render_prompt(PromptKind.INITIALIZATION, ctx(index=i)) for i in range(2)]
     p_refl = render_prompt(PromptKind.REFLECTION, full_ctx())
-    assert provider.complete(p_init) == "first"
+    assert provider.complete(p_init[0]) == "first"
     assert provider.complete(p_refl) == "fix"
-    assert provider.complete(p_init) == "second"
+    assert provider.complete(p_init[1]) == "second"
+
+
+def test_scripted_provider_answers_the_key_in_the_header_in_any_order(tmp_path):
+    provider = make_scripted(tmp_path, [("initialization", i, f"resp {i}") for i in range(3)])
+    prompts = [render_prompt(PromptKind.INITIALIZATION, ctx(index=i)) for i in range(3)]
+    assert [provider.complete(prompts[i]) for i in (2, 0, 1, 2)] == [
+        "resp 2", "resp 0", "resp 1", "resp 2"]
+    assert provider.calls_made("initialization") == 4
+    with pytest.raises(ValueError, match="call tag"):
+        provider.complete("[prompt-kind: initialization] [variation-seed: 0]\n")
 
 
 def test_scripted_provider_transcript_miss(tmp_path):
     provider = make_scripted(tmp_path, [("initialization", 0, "only")])
-    p = render_prompt(PromptKind.INITIALIZATION, ctx())
-    provider.complete(p)
+    p = [render_prompt(PromptKind.INITIALIZATION, ctx(index=i)) for i in range(2)]
+    provider.complete(p[0])
     with pytest.raises(ProviderError) as ei:
-        provider.complete(p)
+        provider.complete(p[1])
     assert ei.value.kind == "transcript-miss"
 
 
@@ -248,8 +262,8 @@ def test_scripted_determinism_end_to_end(tmp_path):
     path2 = tmp_path / "t2.jsonl"
     write_transcript(path2, entries)
     p2 = ScriptedProvider(path2)
-    prompt = render_prompt(PromptKind.INITIALIZATION, ctx())
-    assert [p1.complete(prompt) for _ in range(5)] == [p2.complete(prompt) for _ in range(5)]
+    prompts = [render_prompt(PromptKind.INITIALIZATION, ctx(index=i)) for i in range(5)]
+    assert [p1.complete(p) for p in prompts] == [p2.complete(p) for p in prompts]
 
 
 def test_high_level_calls_through_scripted(tmp_path):
@@ -393,6 +407,70 @@ def test_http_provider_retries_rate_limit(local_server, monkeypatch):
     out = provider.complete("after-429")
     assert out.startswith("echo:")
     assert _Handler.hits == 2
+
+
+class _RateLimitHandler(_Handler):
+    """Answers 429, with `retry_after` as its Retry-After header if set, to the
+    first `limited` requests, then echoes like _Handler."""
+    limited = 1
+    retry_after = None
+
+    def do_POST(self):
+        if type(self).hits < self.limited:
+            type(self).hits += 1
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            self.send_response(429)
+            if self.retry_after is not None:
+                self.send_header("Retry-After", self.retry_after)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
+        super().do_POST()
+
+
+@pytest.fixture
+def rate_limited_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _RateLimitHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _RateLimitHandler.hits = 0
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    thread.join(timeout=10)
+
+
+@pytest.mark.parametrize("retry_after, waits", [
+    ("7", [7]),  # whole seconds replace the backoff of that retry
+    (" 0 ", [0]),
+    ("Fri, 31 Dec 1999 23:59:59 GMT", [0.01]),  # an HTTP-date keeps the backoff
+    ("1.5", [0.01]),
+    (None, [0.01]),
+])
+def test_http_provider_honors_retry_after_in_seconds_on_429(rate_limited_server, monkeypatch,
+                                                            retry_after, waits):
+    monkeypatch.setenv(llm.API_KEY_ENV, "k")
+    monkeypatch.setattr(_RateLimitHandler, "retry_after", retry_after)
+    slept = []
+    monkeypatch.setattr(llm.time, "sleep", slept.append)
+    provider = llm.HttpProvider(http_config(rate_limited_server))
+    assert provider.complete("after-429").startswith("echo:")
+    assert slept == waits
+
+
+def test_http_provider_rate_limited_to_the_end_sleeps_only_between_attempts(
+        rate_limited_server, monkeypatch):
+    monkeypatch.setenv(llm.API_KEY_ENV, "k")
+    monkeypatch.setattr(_RateLimitHandler, "limited", 4)
+    monkeypatch.setattr(_RateLimitHandler, "retry_after", "3")
+    slept = []
+    monkeypatch.setattr(llm.time, "sleep", slept.append)
+    provider = llm.HttpProvider(http_config(rate_limited_server, max_retries=3))
+    with pytest.raises(ProviderError) as ei:
+        provider.complete("x")
+    assert ei.value.kind == "rate-limited-exhausted"
+    assert "attempt 3" in str(ei.value)
+    assert slept == [3, 3]
+    assert _RateLimitHandler.hits == 3
 
 
 def test_http_provider_malformed_response(local_server, monkeypatch):
