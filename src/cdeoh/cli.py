@@ -25,9 +25,9 @@ from typing import TextIO, get_type_hints
 
 import numpy as np
 
-from cdeoh import dsl, llm, problems
+from cdeoh import dsl, jsonio, llm, problems
 from cdeoh.evolution import (PAYLOADS, BudgetExhaustedError, EvolutionConfig, EvolutionEngine,
-                             RunState, check_payload, has_type, type_name)
+                             RunState, check_payload)
 from cdeoh.llm import ProviderConfig, ProviderError
 from cdeoh.problems import BenchmarkSuite, CandidateFailure
 
@@ -81,8 +81,8 @@ def _typed_section(cls, name: str, section):
     kwargs = {}
     for key, value in section.items():
         field, hint = fields[key]
-        if not has_type(hint, value):
-            raise ConfigError(f"{name}.{key} must be {type_name(hint)}")
+        if not jsonio.has_type(hint, value):
+            raise ConfigError(f"{name}.{key} must be {jsonio.type_name(hint)}")
         kwargs[field] = tuple(value) if type(value) is list else value
     try:
         return cls(**kwargs)
@@ -107,18 +107,10 @@ def build_suite(task: str, section: dict) -> BenchmarkSuite:
 
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"config file {path} is not UTF-8 text") from None
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
-        raise ConfigError(f"config is not valid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+        data = jsonio.read_object(path, "config file")
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
     unknown = set(data) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown key(s) in config: {', '.join(sorted(unknown))}")
@@ -167,28 +159,22 @@ def parse_events(text: str, source: str) -> list[dict]:
     (`evolution.PAYLOADS`) and by folding it; ValueError naming the line."""
     events = []
     state = RunState()
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            event = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as e:
-            raise ValueError(f"{source}:{lineno}: invalid JSON: {e}") from None
+    for where, event in jsonio.json_lines(text, source):
         if not (isinstance(event, dict) and isinstance(event.get("event"), str)
                 and event["event"] in PAYLOADS and isinstance(event.get("payload"), dict)):
-            raise ValueError(f"{source}:{lineno}: not an event: want an object with an"
+            raise ValueError(f"{where}: not an event: want an object with an"
                              f" `event` of {', '.join(PAYLOADS)} and an object `payload`")
         try:
             check_payload(event["event"], event["payload"])
             state.apply(event["event"], event["payload"])
         except ValueError as e:
-            raise ValueError(f"{source}:{lineno}: {e}") from None
+            raise ValueError(f"{where}: {e}") from None
         events.append(event)
     return events
 
 
 def read_events(path: Path) -> list[dict]:
-    return parse_events(path.read_text(), str(path))
+    return parse_events(jsonio.read_text(path, "events file"), str(path))
 
 
 def strip_timestamps(events) -> list[dict]:
@@ -237,7 +223,11 @@ def _fresh_run_dir(output_dir: Path) -> Path:
     while path.exists():
         n += 1
         path = Path(f"{base}_{n}")
-    path.mkdir(parents=True)
+    try:
+        path.mkdir(parents=True)
+    except OSError as e:
+        raise ValueError(f"cannot create run directory under {output_dir}:"
+                         f" {e.strerror or e}") from None
     return path
 
 
@@ -264,10 +254,10 @@ def cmd_run(config_path: str) -> int:
         cfg = load_run_config(config_path)
         suite = cfg.suite.build()
         provider = llm.make_provider(cfg.provider)
+        run_dir = _fresh_run_dir(Path(cfg.output_dir))
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    run_dir = _fresh_run_dir(Path(cfg.output_dir))
     (run_dir / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True))
     if cfg.provider.provider == "scripted":
         shutil.copy(cfg.provider.transcript_path, run_dir / "transcript.jsonl")
@@ -307,20 +297,14 @@ def _suite_from_args(args) -> BenchmarkSuite:
 
 def _load_heuristic_code(path: Path) -> str:
     """The `code` of a best.json-shaped file, else the file's text."""
+    text = jsonio.read_text(path, "heuristic file")
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as e:
-        raise ValueError(f"cannot read heuristic file {path}: {e.strerror or e}") from None
-    except UnicodeDecodeError:
-        raise ValueError(f"heuristic file {path} is not UTF-8 text") from None
-    try:
-        data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError):
+        data = jsonio.decode(text, str(path))
+    except ValueError:
         return text
     if not (isinstance(data, dict) and "code" in data):
         return text
-    if not isinstance(data["code"], str):
-        raise ValueError(f"{path}: 'code' must be a string")
+    jsonio.check_fields(data, {"code": str}, str(path))
     return data["code"]
 
 
@@ -409,8 +393,6 @@ def _replay_events(run_dir: Path) -> list[dict]:
         raise ConfigError("replay requires a scripted-provider run")
     if transcript.exists():
         cfg.provider.transcript_path = str(transcript)
-    elif not Path(cfg.provider.transcript_path or "").exists():
-        raise ConfigError("transcript not found for replay")
     buf = io.StringIO()
     provider = llm.make_provider(cfg.provider)
     engine = EvolutionEngine(cfg.evolution, provider, cfg.suite.build(),
@@ -421,12 +403,8 @@ def _replay_events(run_dir: Path) -> list[dict]:
 
 def cmd_replay(run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
-    events_path = run_dir / "events.jsonl"
-    if not events_path.exists() or not (run_dir / "config.json").exists():
-        print("error: run dir is missing events.jsonl or config.json", file=sys.stderr)
-        return 2
     try:
-        recorded = strip_timestamps(read_events(events_path))
+        recorded = strip_timestamps(read_events(run_dir / "events.jsonl"))
         replayed = _replay_events(run_dir)
     except (ConfigError, BudgetExhaustedError, ProviderError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
@@ -444,12 +422,8 @@ def cmd_replay(run_dir_arg: str) -> int:
 
 def cmd_report(run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
-    events_path = run_dir / "events.jsonl"
-    if not events_path.exists():
-        print("error: incomplete run: events.jsonl missing", file=sys.stderr)
-        return 2
     try:
-        state = RunState.from_events(read_events(events_path))
+        state = RunState.from_events(read_events(run_dir / "events.jsonl"))
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

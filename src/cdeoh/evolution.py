@@ -13,16 +13,15 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
-import sys
 import time
-import types
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, get_args, get_origin
+from typing import Callable, Iterable, Iterator, Sequence
 
 from cdeoh import dsl, llm, problems
 from cdeoh.dsl import ParseError
+from cdeoh.jsonio import has_type, type_name
 from cdeoh.llm import ParseFailure, PromptContext, PromptKind
 from cdeoh.problems import BenchmarkSuite, CandidateFailure
 
@@ -60,40 +59,8 @@ class Candidate:
 
 
 # --------------------------------------------------------------------------
-# JSON types and the event schema
+# The event schema
 # --------------------------------------------------------------------------
-
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-               type(None): "null"}
-_CONTAINERS = {tuple: "a non-empty list of", list: "a list of", dict: "an object of"}
-
-
-def has_type(want, value) -> bool:
-    """Whether the JSON value `value` has type `want`: a scalar type, `X | None`,
-    `list[X]`, `tuple[X, ...]` (a non-empty list) or `dict[str, X]`."""
-    if want is float:  # finite: abs() of NaN, an infinity or a huge int is not <= max
-        return type(value) in (int, float) and abs(value) <= sys.float_info.max
-    if type(want) is type:
-        return type(value) is want  # so a JSON bool is not an int
-    origin, args = get_origin(want), get_args(want)
-    if origin is types.UnionType:
-        return any(has_type(a, value) for a in args)
-    if origin is dict:  # JSON object keys are strings
-        return type(value) is dict and all(has_type(args[1], v) for v in value.values())
-    return (type(value) is list and (origin is list or bool(value))
-            and all(has_type(args[0], x) for x in value))
-
-
-def type_name(want) -> str:
-    """`want` as an error message names it, e.g. "a non-empty list of integers"."""
-    origin, args = get_origin(want), get_args(want)
-    if origin is None:
-        return _TYPE_NAMES[want]
-    if origin is types.UnionType:
-        return " or ".join(map(type_name, args))
-    item = type_name(args[1] if origin is dict else args[0]).split(" ", 1)[1]
-    return f"{_CONTAINERS[origin]} {item}s"
-
 
 # Each event's payload: its fields and their JSON types.  An `evaluation` or
 # `reflection` either names the candidate it produced (`candidate_id`, the

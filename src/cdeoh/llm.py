@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from cdeoh import jsonio
+
 API_KEY_ENV = "CDEOH_API_KEY"
 BASE_URL_ENV = "CDEOH_BASE_URL"
 
@@ -310,6 +312,9 @@ def canonical_label(text: str) -> str:
 # Providers
 # --------------------------------------------------------------------------
 
+TRANSCRIPT_FIELDS = {"kind": str, "index": int, "response": str}
+
+
 class ScriptedProvider:
     """Replays a transcript keyed by (kind, per-kind monotone call index), the
     key each prompt's header carries; safe to call from several threads."""
@@ -320,17 +325,15 @@ class ScriptedProvider:
         self._entries: dict[tuple[str, int], str] = {}
         self._kinds_called: list[str] = []  # list.append is atomic
         path = Path(transcript_path)
-        try:
-            text = path.read_text()
-        except OSError as e:
-            raise ValueError(f"cannot read transcript {path}: {e.strerror or e}") from None
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            key, response = _transcript_entry(line, f"{path}:{lineno}")
+        text = jsonio.read_text(path, "transcript")
+        for where, entry in jsonio.json_lines(text, str(path)):
+            if not isinstance(entry, dict):
+                raise ValueError(f"{where}: a transcript line must be a JSON object")
+            jsonio.check_fields(entry, TRANSCRIPT_FIELDS, where)
+            key = (entry["kind"], entry["index"])
             if key in self._entries:
-                raise ValueError(f"{path}:{lineno}: duplicate transcript key {key}")
-            self._entries[key] = response
+                raise ValueError(f"{where}: duplicate transcript key {key}")
+            self._entries[key] = entry["response"]
 
     def calls_made(self, kind: str | PromptKind) -> int:
         return self._kinds_called.count(PromptKind(kind).value)
@@ -345,23 +348,6 @@ class ScriptedProvider:
             raise ProviderError(
                 "transcript-miss",
                 f"no transcript entry for kind={kind!r} index={index}") from None
-
-
-def _transcript_entry(line: str, where: str) -> tuple[tuple[str, int], str]:
-    """((kind, index), response) of one transcript line; ValueError naming `where`."""
-    try:
-        obj = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
-        raise ValueError(f"{where}: invalid JSON: {e}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: a transcript line must be a JSON object")
-    for key, kind, want in (("kind", str, "a string"), ("index", int, "an integer"),
-                            ("response", str, "a string")):
-        if key not in obj:
-            raise ValueError(f"{where}: missing key {key!r}")
-        if type(obj[key]) is not kind:
-            raise ValueError(f"{where}: {key!r} must be {want}")
-    return (obj["kind"], obj["index"]), obj["response"]
 
 
 def write_transcript(path: str | Path, entries) -> None:

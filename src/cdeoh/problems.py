@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from cdeoh import dsl
+from cdeoh import dsl, jsonio
 from cdeoh.dsl import EvalError, Program, bind
 from cdeoh.dsl import evaluate  # noqa: F401  (the benchmark's tracer hooks problems.evaluate)
 
@@ -506,6 +506,12 @@ def make_tsp_suite(sizes: Iterable[int], seeds: Iterable[int] = DEFAULT_TSP_SEED
 # Instance / suite files
 # --------------------------------------------------------------------------
 
+# The fields of an instance file of each task and of a suite file (`labels` optional).
+INSTANCE_FIELDS = {"obp": {"capacity": int, "items": tuple[int, ...]},
+                   "tsp": {"coords": list[list[float]]}}
+SUITE_FIELDS = {"task": str, "instances": list[str], "labels": list[str]}
+
+
 def save_instance(path: str | Path, instance: ObpInstance | TspInstance) -> None:
     path = Path(path)
     if isinstance(instance, ObpInstance):
@@ -517,17 +523,14 @@ def save_instance(path: str | Path, instance: ObpInstance | TspInstance) -> None
 
 def load_instance(path: str | Path, task: str) -> ObpInstance | TspInstance:
     path = Path(path)
-    data = _read_json(path, "instance file")
+    data = jsonio.read_object(path, "instance file")
+    jsonio.check_fields(data, INSTANCE_FIELDS[task], f"instance file {path}")
     try:
         if task == "obp":
-            return ObpInstance(capacity=int(data["capacity"]), items=tuple(int(x) for x in data["items"]))
-        if task == "tsp":
-            return TspInstance(data["coords"])
-    except KeyError as e:
-        raise ValueError(f"instance file {path}: missing key {e.args[0]!r}") from None
-    except (TypeError, ValueError) as e:
+            return ObpInstance(capacity=data["capacity"], items=tuple(data["items"]))
+        return TspInstance(data["coords"])
+    except ValueError as e:
         raise ValueError(f"instance file {path}: {e}") from None
-    raise ValueError(f"unknown task {task!r}")
 
 
 def save_suite(path: str | Path, suite: BenchmarkSuite, instance_dir: str | Path | None = None) -> None:
@@ -550,14 +553,8 @@ def load_suite(path: str | Path) -> BenchmarkSuite:
     or not JSON, a missing or mistyped key, or a bad instance file.
     """
     path = Path(path)
-    data = _read_json(path, "suite file")
-    for key in ("task", "instances"):
-        if key not in data:
-            raise ValueError(f"suite file {path}: missing key {key!r}")
-    for key in ("instances", "labels"):
-        value = data.get(key, [])
-        if not (isinstance(value, list) and all(isinstance(x, str) for x in value)):
-            raise ValueError(f"suite file {path}: {key!r} must be a list of strings")
+    data = jsonio.read_object(path, "suite file")
+    jsonio.check_fields({"labels": [], **data}, SUITE_FIELDS, f"suite file {path}")
     task = data["task"]
     if task not in TASKS:
         raise ValueError(f"suite file {path}: unknown task {task!r}")
@@ -567,15 +564,3 @@ def load_suite(path: str | Path) -> BenchmarkSuite:
         return BenchmarkSuite(task=task, instances=instances, labels=labels)
     except ValueError as e:
         raise ValueError(f"suite file {path}: {e}") from None
-
-
-def _read_json(path: Path, what: str) -> dict:
-    try:
-        data = json.loads(path.read_text())
-    except OSError as e:
-        raise ValueError(f"cannot read {what} {path}: {e.strerror or e}") from None
-    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep
-        raise ValueError(f"{what} {path} is not valid JSON: {e}") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} {path} must hold a JSON object")
-    return data

@@ -151,7 +151,7 @@ def test_suite_that_cannot_be_generated_exits_2(tmp_path, capsys, capacity):
 
 @pytest.mark.parametrize("content, message", [
     (None, "cannot read config file {path}: Is a directory"),
-    ("[" * 100_000, "config is not valid JSON: maximum recursion depth exceeded"),
+    ("[" * 100_000, "config file {path} is not valid JSON: maximum recursion depth exceeded"),
     (b'{"task": "obp\xff"}', "config file {path} is not UTF-8 text"),
 ], ids=["directory", "nested-too-deep", "not-utf-8"])
 def test_unreadable_config_is_one_line_and_exit_2(tmp_path, capsys, content, message):
@@ -658,6 +658,23 @@ def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
     bad_files = []
+    # Instance files whose values are of the wrong JSON type.
+    for name, task, instance, named in (
+            ("fractional_item", "obp", '{"capacity": 100, "items": [7.9, 50]}',
+             "'items' must be a non-empty list of integers"),
+            ("true_item", "obp", '{"capacity": 100, "items": [true, 50]}',
+             "'items' must be a non-empty list of integers"),
+            ("fractional_capacity", "obp", '{"capacity": 100.9, "items": [7, 50]}',
+             "'capacity' must be an integer"),
+            ("string_capacity", "obp", '{"capacity": "100", "items": [7, 50]}',
+             "'capacity' must be an integer"),
+            ("nan_coordinate", "tsp", '{"coords": [[NaN, 0.5], [0.1, 0.2], [0.3, 0.4]]}',
+             "'coords' must be a list of lists of numbers")):
+        (tmp_path / f"{name}_instance.json").write_text(instance)
+        bad_files.append((tmp_path / f"{name}.json",
+                          (f"instance file {tmp_path / f'{name}_instance.json'}: {named}",)))
+        bad_files[-1][0].write_text(json.dumps({"task": task,
+                                                "instances": [f"{name}_instance.json"]}))
     for name, key, value in (("int_instance", "instances", [5]),
                              ("list_label", "labels", [[1], "b"]),
                              ("string_labels", "labels", "ab")):
@@ -724,6 +741,73 @@ def test_cmd_bench_empty_seeds():
     with pytest.raises(SystemExit) as ei:
         main(["bench", "--task", "obp", "--sizes", "10", "--capacities", "50", "--seeds"])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------- every input file
+
+def _input_file(tmp_path: Path, kind: str, command: str) -> tuple[Path, list[str]]:
+    """A file of `kind` that `command` reads, and the command line that reads it."""
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    if command == "run":
+        path = cfg_path if kind == "config" else tmp_path / "transcript.jsonl"
+        return path, ["run", str(cfg_path)]
+    if kind in ("config", "events"):
+        assert main(["run", str(cfg_path)]) == 0
+        run_dir = single_run_dir(tmp_path)
+        name = "config.json" if kind == "config" else "events.jsonl"
+        return run_dir / name, [command, str(run_dir)]
+    heuristic = tmp_path / "bf.txt"
+    heuristic.write_text(problems.BEST_FIT_PROGRAM)
+    if kind == "heuristic":
+        return heuristic, ["evaluate", str(heuristic), "--task", "obp", "--sizes", "20",
+                           "--capacities", "50", "--seeds", "1"]
+    suite_file = tmp_path / "suite.json"
+    problems.save_suite(suite_file, problems.make_obp_suite([20], [50], seeds=[1]))
+    args = [str(heuristic)] if command == "evaluate" else []
+    path = suite_file if kind == "suite" else next(tmp_path.glob("obp_*.json"))
+    return path, [command, *args, "--suite-file", str(suite_file)]
+
+
+_READERS = [("config", "run"), ("config", "replay"), ("transcript", "run"),
+            ("events", "report"), ("events", "replay"), ("suite", "bench"),
+            ("suite", "evaluate"), ("instance", "bench"), ("instance", "evaluate"),
+            ("heuristic", "evaluate")]
+_UNREADABLE = ("missing", "directory", "not-utf-8", "nested-too-deep", "too-many-digits")
+
+
+@pytest.mark.parametrize("kind, command, problem", [
+    pytest.param(kind, command, problem, id=f"{kind}-{command}-{problem}")
+    for kind, command in _READERS for problem in _UNREADABLE
+    # A heuristic file that is not JSON is program text (a DSL parse error).
+    if not (kind == "heuristic" and problem in ("nested-too-deep", "too-many-digits"))])
+def test_unreadable_input_file_is_one_line_naming_it_and_exit_2(tmp_path, capsys, kind, command,
+                                                                problem):
+    """Every file a command reads: missing, a directory, not UTF-8, nested too
+    deep to parse, or holding an integer too long for Python to convert."""
+    path, argv = _input_file(tmp_path, kind, command)
+    path.unlink()
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not-utf-8":
+        path.write_bytes(b'{"a": "\xff"}\n')
+    elif problem == "nested-too-deep":
+        path.write_text("[" * 100_000)
+    elif problem == "too-many-digits":
+        path.write_text('{"a": ' + "1" * 5000 + "}\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err, err
+
+
+def test_run_dir_under_a_regular_file_is_one_line_and_exit_2(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    output_dir = tmp_path / "file" / "runs"
+    cfg_path = write_run_config(tmp_path, three_gen_transcript(), output_dir=str(output_dir))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot create run directory under {output_dir}:"
+                                       " Not a directory\n")
 
 
 # ---------------------------------------------------------------- the whole loop, fuzzed

@@ -65,3 +65,24 @@ def test_bench_baselines_quick(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "best-fit" in proc.stdout
     assert "nearest-neighbor" in proc.stdout
+
+
+_IMPORT_CHECK = """
+import importlib.util, sys
+package = importlib.util.find_spec("cdeoh").submodule_search_locations[0]
+spec = importlib.util.spec_from_file_location("jsonio_alone", package + "/jsonio.py")
+spec.loader.exec_module(importlib.util.module_from_spec(spec))
+assert not [m for m in sys.modules if m.split(".")[0] == "cdeoh"], "jsonio imported cdeoh"
+import cdeoh.cli
+assert not {"urllib.request", "http.client"} & set(sys.modules), "cli imported an HTTP client"
+"""
+
+
+def test_cli_import_loads_no_http_client_and_jsonio_no_other_cdeoh_module(tmp_path):
+    """Only HttpProvider.complete imports the HTTP client, so `cdeoh run` with a
+    scripted provider never pays for it; jsonio stands alone."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
