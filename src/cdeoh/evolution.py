@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import os
 import time
 from collections import Counter, deque
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -299,7 +300,45 @@ MAX_IN_FLIGHT = 8
 # call on 2 vCPU: far more than a scripted call takes (tens of microseconds).
 POOL_MIN_S = 0.001
 
+# Worker processes that simulate a run's candidates: one per CPU this process
+# may run on, and no more than a wave's window can keep busy.
+SIM_WORKERS = min(len(os.sched_getaffinity(0)), MAX_IN_FLIGHT)
+
 _OFFSPRING = ((PromptKind.REFINEMENT, "refinement"), (PromptKind.INNOVATION, "innovation"))
+
+# The suite of a simulation worker process, set by `_start_worker` when the
+# worker starts; never set in the engine's own process.
+_worker_suite: BenchmarkSuite | None = None
+
+_PR_SET_PDEATHSIG = 1  # prctl(2) option: a signal sent when the forking thread ends
+
+
+def _start_worker(suite: BenchmarkSuite, engine_pid: int) -> None:
+    import ctypes  # only a worker needs these
+    import signal
+
+    global _worker_suite
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the engine's to handle
+    # The kernel kills the worker when the engine's thread ends, so no worker
+    # outlives an engine that is killed before it can join its workers.
+    prctl = ctypes.CDLL(None, use_errno=True).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+        raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+    if os.getppid() != engine_pid:  # the engine ended before prctl took effect
+        os._exit(1)
+    _worker_suite = suite
+
+
+def _simulate(index: int, code: str) -> problems.EvalReport | str:
+    """Instance `index` of the worker's suite under the program `code`, which
+    parses: its EvalReport or CandidateFailure text.  The code is sent, not the
+    tree, because a bound tree's closures do not pickle."""
+    program = dsl.parse(code, problems.input_signature(_worker_suite.task))
+    try:
+        return problems.simulate_instance(_worker_suite, index, program)
+    except CandidateFailure as e:
+        return str(e)
 
 
 class _Made:
@@ -321,8 +360,23 @@ class _Made:
     def done(self) -> bool:
         return True
 
+    def exception(self) -> Exception | None:
+        return self._error
+
     def cancel(self) -> bool:
         return False
+
+
+@dataclass
+class _Request:
+    """A sent request of a wave.  `parsed` is set once its response has arrived:
+    the (thought, code, score key or ParseError) of the program, or the
+    ParseFailure of the response."""
+    kind: PromptKind
+    origin: str
+    parent_id: int | None
+    response: Future | _Made
+    parsed: tuple[str, str, str | ParseError] | ParseFailure | None = None
 
 
 class EvolutionEngine:
@@ -341,6 +395,13 @@ class EvolutionEngine:
     are dropped.  While the provider answers within `POOL_MIN_S`, each call is
     made on the caller's thread when it is sent, which changes only where it
     runs.
+
+    Candidates are simulated on `SIM_WORKERS` forked worker processes, one
+    task per (program, instance).  Before each commit the caller parses every
+    response of the window that has arrived and sends the simulations of each
+    tree not yet scored, so the workers score ahead of the commits; the commit
+    reads the results in instance order.  Scores are pure functions of the
+    tree, so where and when they are computed changes no event.
     """
 
     def __init__(self, config: EvolutionConfig, provider, suite: BenchmarkSuite,
@@ -356,9 +417,11 @@ class EvolutionEngine:
         self.state = RunState()
         # Each distinct tree is simulated once per run: its EvalReport or
         # CandidateFailure text, keyed by the exact `dsl.pretty_print` (no
-        # algebra is normalised: IEEE arithmetic is not associative).  Memory:
-        # one EvalReport (one gap per instance) or message per distinct program.
-        self._scores: dict[str, problems.EvalReport | str] = {}
+        # algebra is normalised: IEEE arithmetic is not associative), or the
+        # Futures of its simulations, one per instance, until they are read.
+        # Memory: one EvalReport (one gap per instance) or message per
+        # distinct program.
+        self._scores: dict[str, problems.EvalReport | str | list[Future]] = {}
         self._emit = log or (lambda event, payload: None)
         # Events logged but not yet folded; an evaluation's category may still
         # be the Future of its category call.
@@ -368,6 +431,7 @@ class EvolutionEngine:
         self._calls: Counter[PromptKind] = Counter()  # calls of each kind committed
         self._known_labels: tuple[str, ...] = ()  # as of the start of the wave
         self._pool: ThreadPoolExecutor | None = None  # open inside `run` and `initialize`
+        self._sims = None  # the ProcessPoolExecutor of the simulations, open with `_pool`
         self._slow = False  # the provider's last call took POOL_MIN_S or more
 
     # ------------------------------------------------------------- plumbing
@@ -404,18 +468,43 @@ class EvolutionEngine:
 
     @contextlib.contextmanager
     def _open_pool(self):
-        """The call pool while the body runs.  On exit, also when the body raised,
-        the queued events are logged, calls not yet started are cancelled and
-        every thread is joined."""
-        self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT, thread_name_prefix="cdeoh-call")
+        """The simulation workers and the call pool while the body runs.  On exit,
+        also when the body raised, the queued events are logged, calls and
+        simulations not yet started are cancelled, and every thread and worker
+        process is joined."""
+        import multiprocessing  # imported by a run only, so other commands start faster
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        # References are cached on the instances, so forked workers inherit them.
+        reference = problems.obp_lower_bound if self.suite.task == "obp" else problems.tsp_reference
+        for instance in self.suite.instances:
+            reference(instance)
+        # Forked workers inherit the suite instead of unpickling it.  A fork
+        # copies only the forking thread, so every worker is forked (by the
+        # first submit) before this engine starts a thread.
+        self._sims = ProcessPoolExecutor(SIM_WORKERS, multiprocessing.get_context("fork"),
+                                         initializer=_start_worker, initargs=(self.suite, os.getpid()))
         try:
-            yield
-        finally:
+            self._sims.submit(int)
+            self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT,
+                                            thread_name_prefix="cdeoh-call")
             try:
-                self._drain()
+                yield
             finally:
-                self._pool.shutdown(wait=True, cancel_futures=True)
-                self._pool = None
+                # No simulation is read after the body, so the workers are
+                # joined while the last category calls are still in flight.
+                self._sims.shutdown(wait=True, cancel_futures=True)
+                try:
+                    self._drain()
+                finally:
+                    self._pool.shutdown(wait=True, cancel_futures=True)
+                    self._pool = None
+        finally:
+            self._sims.shutdown(wait=True, cancel_futures=True)  # done already, unless a fork failed
+            self._sims = None
+            # Simulations not yet read may have been cancelled.
+            self._scores = {key: score for key, score in self._scores.items()
+                            if not isinstance(score, list)}
 
     def _call(self, fn: Callable, *args, **kwargs) -> Future | _Made:
         """`fn(*args, **kwargs)`, a provider call: on the pool while the provider
@@ -465,19 +554,23 @@ class EvolutionEngine:
         ids: list[int] = []
         try:
             while window and not self._budget_spent():
-                kind, origin, parent_id, response = window.popleft()
+                request = window.popleft()
                 window.extend(itertools.islice(requests, 1))
-                self._calls[kind] += 1
-                candidate_id = self._commit(kind, origin, parent_id, generation, response)
+                for arrived in (request, *window):  # score ahead, in plan order
+                    if (arrived.parsed is None and arrived.response.done()
+                            and arrived.response.exception() is None):
+                        self._parse(arrived)
+                self._calls[request.kind] += 1
+                candidate_id = self._commit(request, generation)
                 if candidate_id is not None:
                     ids.append(candidate_id)
         finally:
-            for *_, response in window:
-                response.cancel()  # never committed; dropped if it has started
+            for request in window:
+                request.response.cancel()  # never committed; dropped if it has started
         return ids
 
     def _send(self, plan: Iterable[tuple[PromptKind, str, Candidate | None]]
-              ) -> Iterator[tuple[PromptKind, str, int | None, Future | _Made]]:
+              ) -> Iterator[_Request]:
         """Render and send each request of `plan` as it is pulled, up to the
         sample budget left at the first pull.
 
@@ -496,50 +589,83 @@ class EvolutionEngine:
                             index=committed[kind] + ahead[kind])
             ahead[kind] += 1
             prompt = llm.render_prompt(kind, ctx, self.provider.config.max_prompt_bytes)
-            yield kind, origin, None if parent is None else parent.id, self._call(
+            yield _Request(kind, origin, None if parent is None else parent.id, self._call(
                 self.provider.complete, prompt, seed=ctx.seed,
-                temperature=self.provider.config.temperature)
+                temperature=self.provider.config.temperature))
 
-    def _commit(self, kind: PromptKind, origin: str, parent_id: int | None, generation: int,
-                response: Future | _Made) -> int | None:
+    def _parse(self, request: _Request) -> None:
+        """Parse the arrived response of `request`, once, and send its program's
+        simulations."""
+        if request.parsed is None:
+            try:
+                thought, code = llm.parse_generation(request.response.result())
+            except ParseFailure as e:
+                request.parsed = e
+            else:
+                request.parsed = (thought, code, self._compile(code))
+
+    def _compile(self, code: str) -> str | ParseError:
+        """The score key of the tree of `code`, whose simulations are sent to the
+        workers the first time the tree is seen; or its ParseError."""
+        try:
+            program = dsl.parse(code, self.signature)
+        except ParseError as e:
+            return e
+        key = dsl.pretty_print(program)
+        if key not in self._scores:
+            self._scores[key] = [self._sims.submit(_simulate, i, code)
+                                 for i in range(len(self.suite.instances))]
+        return key
+
+    def _score(self, key: str) -> problems.EvalReport | str:
+        """The score of a compiled tree.  Its simulations are read in instance
+        order, and the first failure's text is its score, as `evaluate_candidate`
+        fails fast; the later ones are cancelled if they have not started."""
+        score = self._scores[key]
+        if isinstance(score, list):
+            reports = []
+            for simulation in score:
+                result = simulation.result()
+                if isinstance(result, str):
+                    for later in score:
+                        later.cancel()
+                    break
+                reports.append(result)
+            else:
+                result = problems.mean_report(reports)
+            self._scores[key] = score = result
+        return score
+
+    def _commit(self, request: _Request, generation: int) -> int | None:
         """One generation call's sample plus, on failure, the reflection loop; a
         candidate id or None.  A ProviderError of the call is raised after its
         `sample` event is logged."""
+        origin, parent_id = request.origin, request.parent_id
         try:
-            raw = response.result()
+            raw = request.response.result()
         finally:
-            self._log_sample(kind, parent_id, generation)
-        try:
-            thought, code = llm.parse_generation(raw)
-        except ParseFailure as e:
+            self._log_sample(request.kind, parent_id, generation)
+        self._parse(request)
+        if isinstance(request.parsed, ParseFailure):
+            e = request.parsed
             # Give reflection whatever there is to work with.
             thought = e.thought or "(no thought block provided)"
             code = e.code or raw
             self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
                       error=str(e))
             return self._reflect(thought, code, str(e), parent_id, generation)
-        result = self._attempt(thought, code, origin, parent_id, generation)
+        thought, code, key = request.parsed
+        result = self._attempt(thought, code, key, origin, parent_id, generation)
         if isinstance(result, int):
             return result
         return self._reflect(thought, code, result, parent_id, generation)
 
-    def _attempt(self, thought: str, code: str, origin: str, parent_id: int | None,
-                 generation: int, reflection_attempts: int = 0) -> int | str:
-        """Compile + score (once per distinct tree) + send the category call;
-        the candidate id or an error."""
-        try:
-            program = dsl.parse(code, self.signature)
-        except ParseError as e:
-            report = str(e)
-        else:
-            key = dsl.pretty_print(program)
-            report = self._scores.get(key)
-            if report is None:
-                try:
-                    report = problems.evaluate_candidate(self.suite, program)
-                except CandidateFailure as e:
-                    report = str(e)
-                self._scores[key] = report
+    def _attempt(self, thought: str, code: str, key: str | ParseError, origin: str,
+                 parent_id: int | None, generation: int,
+                 reflection_attempts: int = 0) -> int | str:
+        """Score the compiled `code` + send the category call; the candidate id
+        or an error."""
+        report = str(key) if isinstance(key, ParseError) else self._score(key)
         if isinstance(report, str):
             self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
                       error=report)
@@ -584,8 +710,8 @@ class EvolutionEngine:
             except ParseFailure as e:
                 error = str(e)
             else:
-                result = self._attempt(thought, code, "reflection-repair", parent_id,
-                                       generation, reflection_attempts=attempt)
+                result = self._attempt(thought, code, self._compile(code), "reflection-repair",
+                                       parent_id, generation, reflection_attempts=attempt)
                 if isinstance(result, int):
                     self._log("reflection", **step, attempt=attempt, outcome="repaired",
                               candidate_id=result)
@@ -620,7 +746,7 @@ class EvolutionEngine:
         """Initialize, then evolve until the budget or `max_generations` ends; the best Candidate.
 
         A raised error still logs the events before it, and no thread of the
-        call pool outlives `run`.
+        call pool and no simulation worker outlives `run`.
         """
         cfg = self.config
         with self._open_pool():

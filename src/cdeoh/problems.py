@@ -119,8 +119,15 @@ class TspInstance:
             raise ValueError("coords must be a list of [x, y] pairs")
         if self.coords.shape[0] < 3:
             raise ValueError("need at least 3 cities")
-        delta = self.coords[:, None, :] - self.coords[None, :, :]
-        self.dist = np.sqrt((delta ** 2).sum(axis=-1))
+        # Cities too far apart give inf (and infinite coordinates NaN), rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = self.coords[:, None, :] - self.coords[None, :, :]
+            self.dist = np.sqrt((delta ** 2).sum(axis=-1))
+            total = self.dist.sum()  # bounds every tour length
+        if not np.isfinite(total):
+            raise ValueError("city distances must be finite; the coordinates are too large")
+        if total == 0:
+            raise ValueError("all cities coincide, so every tour has length 0")
 
     @property
     def n_cities(self) -> int:
@@ -456,10 +463,19 @@ NEAREST_NEIGHBOR_PROGRAM = "return 0 - dist_to_current"
 # Suites and aggregate evaluation
 # --------------------------------------------------------------------------
 
+def simulate_instance(suite: BenchmarkSuite, index: int, program: Program) -> EvalReport:
+    """The report of instance `index` of `suite`; CandidateFailure as its simulator."""
+    simulate = simulate_obp if suite.task == "obp" else simulate_tsp
+    return simulate(suite.instances[index], program)
+
+
 def evaluate_candidate(suite: BenchmarkSuite, program: Program) -> EvalReport:
     """Mean gap over the suite; fails fast on the first CandidateFailure."""
-    simulate = simulate_obp if suite.task == "obp" else simulate_tsp
-    reports = [simulate(inst, program) for inst in suite.instances]
+    return mean_report([simulate_instance(suite, i, program) for i in range(len(suite.instances))])
+
+
+def mean_report(reports: Sequence[EvalReport]) -> EvalReport:
+    """A suite's report from its instances' reports, in instance order."""
     gap = float(np.mean([r.gap_percent for r in reports]))
     return EvalReport(
         raw_metric=float(np.mean([r.raw_metric for r in reports])),

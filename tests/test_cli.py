@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from cdeoh import dsl, llm, problems
+from cdeoh import dsl, evolution, llm, problems
 from cdeoh.cli import (
     SUMMARY_COLUMNS,
     ConfigError,
+    ObpSuiteConfig,
     load_run_config,
     main,
     read_events,
@@ -217,6 +218,67 @@ def test_cmd_run_rerun_is_byte_identical_modulo_timestamps(tmp_path):
     assert ev1 == ev2
     assert (runs[0] / "summary.csv").read_text() == (runs[1] / "summary.csv").read_text()
     assert (runs[0] / "best.json").read_text() == (runs[1] / "best.json").read_text()
+
+
+# With vectors capped at 8, the always-new-bin program fails on instance 1 (at
+# 11 feasible bins) and on instance 2 (at 9); the late one only on instance 2.
+ALWAYS_NEW_BIN = "return log(0 - cap_remaining)"
+NEW_BIN_FOR_SMALL_ITEMS = "return where((item < 5), log(0 - cap_remaining), 0 - bin_index)"
+
+
+def test_cmd_run_artifacts_do_not_depend_on_the_number_of_simulation_workers(
+        tmp_path, monkeypatch):
+    suite = problems.BenchmarkSuite("obp", (
+        problems.ObpInstance(capacity=6, items=(1,) * 5),
+        problems.ObpInstance(capacity=10, items=(7, 7, 3) * 6),
+        problems.ObpInstance(capacity=10, items=(3,) * 10)), ("small", "773", "3s"))
+    monkeypatch.setattr(dsl, "MAX_VECTOR_LENGTH", 8)
+    monkeypatch.setattr(ObpSuiteConfig, "build", lambda self: suite)
+    sig = problems.input_signature("obp")
+    failures = {}
+    for code in (ALWAYS_NEW_BIN, NEW_BIN_FOR_SMALL_ITEMS):
+        with pytest.raises(problems.CandidateFailure) as e:
+            problems.evaluate_candidate(suite, dsl.parse(code, sig))
+        failures[code] = str(e.value)
+    assert "length 11" in failures[ALWAYS_NEW_BIN]  # the text of instance 1, not of 2
+    assert "length 9" in failures[NEW_BIN_FOR_SMALL_ITEMS]
+
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [ladder_response(0), wrap_generation("late", NEW_BIN_FOR_SMALL_ITEMS),
+                                   wrap_generation("new", ALWAYS_NEW_BIN)])
+    tb.add_many("refinement", [ladder_response(0, thought="again"), BROKEN_CODE_RESPONSE,
+                               ladder_response(3), wrap_generation("new", ALWAYS_NEW_BIN),
+                               ladder_response(1), ladder_response(4)])
+    tb.add_many("innovation", [wrap_generation("wf", "return cap_remaining - item"),
+                               wrap_generation("late", NEW_BIN_FOR_SMALL_ITEMS),
+                               ladder_response(5), ladder_response(2),
+                               wrap_generation("ff", "return 0 - bin_index"), BROKEN_CODE_RESPONSE])
+    tb.add_many("reflection", [ladder_response(2), BROKEN_CODE_RESPONSE,
+                               wrap_generation("ff", "return   0 - bin_index"),
+                               wrap_generation("new", ALWAYS_NEW_BIN), ladder_response(1)] * 4)
+    tb.add_many("category-induction", ["greedy", "scan", "threshold", "spread"] * 10)
+    cfg_path = write_run_config(tmp_path, tb, evolution={
+        "population_size": 3, "elite_categories": 2, "max_generations": 2,
+        "reflection_budget": 2})
+
+    def artifacts(workers: int) -> dict:
+        monkeypatch.setattr(evolution, "SIM_WORKERS", workers)
+        assert main(["run", str(cfg_path)]) == 0
+        run_dir = single_run_dir(tmp_path)
+        files = {p.name: p.read_text() for p in run_dir.iterdir()
+                 if p.name in ("best.json", "summary.csv") or p.name.startswith("population_gen")}
+        assert len(files) == 5  # best.json, summary.csv and generations 0-2
+        return {"events": strip_timestamps(read_events(run_dir / "events.jsonl")), **files}
+
+    default = evolution.SIM_WORKERS
+    want = artifacts(1)
+    errors = [e["payload"]["error"] for e in want["events"]
+              if e["event"] == "evaluation" and "error" in e["payload"]]
+    assert {failures[ALWAYS_NEW_BIN], failures[NEW_BIN_FOR_SMALL_ITEMS]} <= set(errors)
+    outcomes = [e["payload"]["outcome"] for e in want["events"] if e["event"] == "reflection"]
+    assert {"repaired", "failed"} <= set(outcomes)
+    for workers in (default, 3):
+        assert artifacts(workers) == want, workers
 
 
 def test_cmd_run_budget_exhausted_is_nonzero(tmp_path):
@@ -637,6 +699,7 @@ def test_cmd_evaluate_suite_file(tmp_path, capsys):
     assert "30C50" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("error")  # a numpy warning would be a second line
 @pytest.mark.parametrize("command", ["evaluate", "bench"])
 def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
     heuristic = tmp_path / "bf.txt"
@@ -669,7 +732,12 @@ def test_malformed_suite_file_is_one_line_and_exit_2(tmp_path, capsys, command):
             ("string_capacity", "obp", '{"capacity": "100", "items": [7, 50]}',
              "'capacity' must be an integer"),
             ("nan_coordinate", "tsp", '{"coords": [[NaN, 0.5], [0.1, 0.2], [0.3, 0.4]]}',
-             "'coords' must be a list of lists of numbers")):
+             "'coords' must be a list of lists of numbers"),
+            # Finite numbers, but every tour has length 0 or overflows.
+            ("coincident_cities", "tsp", '{"coords": [[0.5, 0.5], [0.5, 0.5], [0.5, 0.5]]}',
+             "all cities coincide"),
+            ("huge_coordinates", "tsp", '{"coords": [[1e200, 0], [-1e200, 0], [0, 1e200]]}',
+             "city distances must be finite")):
         (tmp_path / f"{name}_instance.json").write_text(instance)
         bad_files.append((tmp_path / f"{name}.json",
                           (f"instance file {tmp_path / f'{name}_instance.json'}: {named}",)))

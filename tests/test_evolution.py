@@ -1,8 +1,15 @@
+import contextlib
 import math
+import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures.process import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +34,7 @@ from conftest import (
     NO_CODE_RESPONSE,
     TranscriptBuilder,
     ladder_fitness,
+    ladder_instance,
     ladder_program,
     ladder_response,
     ladder_suite,
@@ -548,48 +556,57 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     ladder_1 = ladder_program(1)
     ladder_1_spaced = ("return where( ( cap_remaining>1 ),0-(cap_remaining -item) ,"
                        "\n  log( 0-cap_remaining ) )")
+    commits = [  # (kind, thought, code) in the order the engine commits them
+        ("initialization", "a", ladder_1),
+        ("initialization", "a, spaced", ladder_1_spaced),
+        # generation 1, parent 1
+        ("refinement", "scalar", "return item"),  # CandidateFailure
+        ("reflection", "scalar again", "return   item"),
+        ("reflection", "worst fit", "return cap_remaining + item"),
+        ("innovation", "worst fit, swapped", "return item + cap_remaining"),
+        # generation 1, parent 2
+        ("refinement", "scalar", "return item"),
+        ("reflection", "back to a", ladder_1),
+        ("innovation", "b", ladder_program(2)),
+    ]
     tb = TranscriptBuilder()
-    tb.add("initialization", wrap_generation("a", ladder_1))
-    tb.add("initialization", wrap_generation("a, spaced", ladder_1_spaced))
-    # generation 1, parent 1
-    tb.add("refinement", wrap_generation("scalar", "return item"))  # CandidateFailure
-    tb.add("reflection", wrap_generation("scalar again", "return   item"))
-    tb.add("reflection", wrap_generation("worst fit", "return cap_remaining + item"))
-    tb.add("innovation", wrap_generation("worst fit, swapped", "return item + cap_remaining"))
-    # generation 1, parent 2
-    tb.add("refinement", wrap_generation("scalar", "return item"))
-    tb.add("reflection", wrap_generation("back to a", ladder_1))
-    tb.add("innovation", wrap_generation("b", ladder_program(2)))
+    for kind, thought, code in commits:
+        tb.add(kind, wrap_generation(thought, code))
     tb.add_many("category-induction", ["x", "y", "x", "z", "y", "x"])
     provider = scripted(tb)
+    suite = problems.BenchmarkSuite("obp", (ladder_instance(), problems.gen_obp(1, 40, 50)),
+                                    ("ladder", "40C50"))
 
-    parse, evaluate_candidate = dsl.parse, problems.evaluate_candidate
-    parsed, simulated = [], []
+    parse, submit = dsl.parse, ProcessPoolExecutor.submit
+    sig = problems.input_signature("obp")
+    parsed, simulated = [], []  # codes the engine parsed; (instance, tree) it sent to a worker
 
     def recording_parse(code, inputs=None):
         parsed.append(code)
         return parse(code, inputs)
 
-    def counting_evaluate(suite, program):
-        simulated.append(dsl.pretty_print(program))
-        return evaluate_candidate(suite, program)
+    def counting_submit(pool, fn, *args, **kwargs):
+        if fn is evolution._simulate:
+            index, code = args
+            simulated.append((index, dsl.pretty_print(parse(code, sig))))
+        return submit(pool, fn, *args, **kwargs)
 
     monkeypatch.setattr(dsl, "parse", recording_parse)
-    monkeypatch.setattr(problems, "evaluate_candidate", counting_evaluate)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counting_submit)
     events = []
     cfg = config(population_size=2, elite_categories=2, max_generations=1, max_samples=100)
-    EvolutionEngine(cfg, provider, ladder_suite(), log=lambda e, p: events.append((e, p))).run()
+    EvolutionEngine(cfg, provider, suite, log=lambda e, p: events.append((e, p))).run()
     monkeypatch.undo()
 
-    sig = problems.input_signature("obp")
+    assert sorted(parsed) == sorted(code for *_, code in commits)  # each response once
     keys = {dsl.pretty_print(dsl.parse(code, sig)) for code in parsed}
     assert len(keys) == 5  # ladder 1 (3 copies), `item` (3), both sums, ladder 2
-    assert sorted(simulated) == sorted(keys)  # each distinct tree simulated once
+    # each distinct tree simulated once on each instance
+    assert sorted(simulated) == sorted((i, key) for key in keys for i in (0, 1))
     assert provider.calls_made("category-induction") == 6  # every success is labelled
     evaluations = [p for e, p in events if e == "evaluation"]
-    assert len(evaluations) == len(parsed) == 9
-    suite = ladder_suite()
-    for code, payload in zip(parsed, evaluations):
+    assert len(evaluations) == len(commits)
+    for (*_, code), payload in zip(commits, evaluations):
         try:
             want = problems.evaluate_candidate(suite, dsl.parse(code, sig))
         except CandidateFailure as e:
@@ -806,17 +823,84 @@ def test_instant_provider_run_starts_no_worker_thread(tmp_path, monkeypatch):
     assert workers_seen == []
 
 
-def test_no_worker_thread_outlives_run(tmp_path):
+def test_no_worker_thread_outlives_run(tmp_path, monkeypatch):
+    """No thread or simulation worker of the engine outlives `run` or
+    `initialize`, whether it returns or raises, and every worker is forked
+    while no thread of the engine is alive."""
+    fork, forks = os.fork, []  # the names of the threads alive at each fork
+
+    def recording_fork():
+        forks.append([t.name for t in threading.enumerate()])
+        return fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    baseline = threading.active_count()
     tb = mixed_transcript()
-    provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
-    logged_run(provider, mixed_config())
-    assert any(name.startswith("cdeoh-call") for name in provider.thread_names)
-    assert _worker_threads() == []
-    tb.entries = [e for e in tb.entries if e[:2] != ("innovation", 1)]
-    provider = ThreadedProvider(tb.write(tmp_path / "t.jsonl"), delay_seed=1)
-    with pytest.raises(ProviderError):
-        logged_run(provider, mixed_config())
-    assert _worker_threads() == []
+    missing_innovation = TranscriptBuilder()
+    missing_innovation.entries = [e for e in tb.entries if e[:2] != ("innovation", 1)]
+    broken = TranscriptBuilder().add_many("initialization", [BROKEN_CODE_RESPONSE] * 4)
+    broken.add_many("reflection", [BROKEN_CODE_RESPONSE] * 12)
+    for transcript, samples, error, start in (
+            (tb, 100, None, EvolutionEngine.run),
+            (missing_innovation, 100, ProviderError, EvolutionEngine.run),
+            (broken, 8, BudgetExhaustedError, EvolutionEngine.initialize)):
+        forks.clear()
+        provider = ThreadedProvider(transcript.write(tmp_path / "t.jsonl"), delay_seed=1)
+        engine = EvolutionEngine(mixed_config(max_samples=samples), provider, ladder_suite())
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            start(engine)
+        assert any(name.startswith("cdeoh-call") for name in provider.thread_names), error
+        assert len(forks) == evolution.SIM_WORKERS, error
+        assert not [name for names in forks for name in names if name.startswith("cdeoh-")]
+        assert multiprocessing.active_children() == [], error
+        assert threading.active_count() == baseline, error
+        assert _worker_threads() == [], error
+
+
+_KILLED_RUN = """
+import multiprocessing, sys, time
+from cdeoh import evolution, llm, problems
+
+class Blocking:
+    config = llm.ProviderConfig(transcript_path="unused")
+
+    def complete(self, prompt, seed=0, temperature=None):
+        print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+        time.sleep(60)
+
+suite = problems.make_obp_suite([20], [50], [1])
+evolution.EvolutionEngine(evolution.EvolutionConfig(), Blocking(), suite).run()
+"""
+
+
+def test_no_worker_outlives_a_killed_run(tmp_path):
+    """A run killed before it can join its workers still leaves none running:
+    each dies (a zombie until reaped) with the thread that forked it."""
+    src = os.path.dirname(os.path.dirname(evolution.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.Popen([sys.executable, "-c", _KILLED_RUN], cwd=tmp_path, env=env,
+                           stdout=subprocess.PIPE, text=True)
+    try:
+        workers = [int(pid) for pid in run.stdout.readline().split()]
+    finally:
+        run.kill()
+        run.wait(WAIT_S)
+    assert len(workers) == evolution.SIM_WORKERS
+
+    def running(pid: int) -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as stat:
+                return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+        except FileNotFoundError:
+            return False
+
+    deadline = time.monotonic() + WAIT_S
+    while any(map(running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    survivors = [pid for pid in workers if running(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []
 
 
 def test_generation_error_while_a_category_call_is_in_flight_keeps_its_events(tmp_path):

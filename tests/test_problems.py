@@ -322,6 +322,19 @@ def test_tsp_instance_derives_dist_from_coords():
         TspInstance(np.zeros((2, 2)))
 
 
+@pytest.mark.filterwarnings("error")  # no numpy overflow warning either
+@pytest.mark.parametrize("coords, message", [
+    ([[0.5, 0.5]] * 3, "all cities coincide"),
+    ([[0.25, 1e-320], [0.25, 0.0], [0.25, 1e-320]], "all cities coincide"),  # distances underflow
+    ([[1e200, 0.0], [-1e200, 0.0], [0.0, 1e200]], "distances must be finite"),
+    ([[1e154, 0.0], [-1e154, 0.0], [0.0, 1e154]], "distances must be finite"),  # their sum overflows
+    ([[np.inf, 0.0], [0.0, 0.0], [0.0, 1.0]], "distances must be finite"),
+])
+def test_tsp_instance_rejects_cities_without_a_finite_nonzero_tour(coords, message):
+    with pytest.raises(ValueError, match=message):
+        TspInstance(coords)
+
+
 def test_two_opt_never_worsens():
     for seed in (1, 2):
         inst = gen_tsp(seed, 40)

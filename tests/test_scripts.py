@@ -75,12 +75,15 @@ spec.loader.exec_module(importlib.util.module_from_spec(spec))
 assert not [m for m in sys.modules if m.split(".")[0] == "cdeoh"], "jsonio imported cdeoh"
 import cdeoh.cli
 assert not {"urllib.request", "http.client"} & set(sys.modules), "cli imported an HTTP client"
+assert not {"multiprocessing", "concurrent.futures.process"} & set(sys.modules), \
+    "cli imported the process pool"
 """
 
 
 def test_cli_import_loads_no_http_client_and_jsonio_no_other_cdeoh_module(tmp_path):
     """Only HttpProvider.complete imports the HTTP client, so `cdeoh run` with a
-    scripted provider never pays for it; jsonio stands alone."""
+    scripted provider never pays for it, and only a run imports the process pool
+    it simulates on, so no command starts slower for it; jsonio stands alone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], cwd=tmp_path, env=env,
