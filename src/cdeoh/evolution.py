@@ -290,9 +290,11 @@ def select_next_generation(candidates: Sequence[Candidate],
 # --------------------------------------------------------------------------
 
 # Threads of a run's call pool, and requests of a wave sent ahead of the one
-# being committed.  The pool also makes the category calls, so at most this
-# many calls run on it; the caller's thread makes at most one more.
-MAX_IN_FLIGHT = 8
+# being committed.  The pool also makes the category calls and the prefetched
+# reflection calls, so at most this many calls run on it; the caller's thread
+# makes at most one more.  At 8, prefetched reflections waited in the pool's
+# queue behind a generation's calls (2N = 20 at the default population).
+MAX_IN_FLIGHT = 16
 
 # A call goes to the pool only after the provider's last call took this long;
 # until then it is made on the caller's thread.  A pool thread must take the
@@ -341,6 +343,12 @@ def _simulate(index: int, code: str) -> problems.EvalReport | str:
         return str(e)
 
 
+def _reflection_input(failure: ParseFailure, raw: str) -> tuple[str, str]:
+    """The thought and code a reflection prompt shows for the response `raw`
+    that did not parse: whatever there is to work with."""
+    return failure.thought or "(no thought block provided)", failure.code or raw
+
+
 class _Made:
     """A call made at once on the caller's thread, read like the Future of a
     call on the pool (a Future costs about 10 us more per call)."""
@@ -369,9 +377,9 @@ class _Made:
 
 @dataclass
 class _Request:
-    """A sent request of a wave.  `parsed` is set once its response has arrived:
-    the (thought, code, score key or ParseError) of the program, or the
-    ParseFailure of the response."""
+    """A sent request of a wave, or a prefetched reflection call.  `parsed` is
+    set once its response has arrived: the (thought, code, score key or
+    ParseError) of the program, or the ParseFailure of the response."""
     kind: PromptKind
     origin: str
     parent_id: int | None
@@ -385,19 +393,26 @@ class EvolutionEngine:
     A wave is the initialization requests still needed, or one refinement and
     one innovation per population member.  `_wave` renders each request with
     its (kind, call index, seed) and keeps the `MAX_IN_FLIGHT` requests after
-    the one it commits in flight on a pool of as many threads.  It commits the
-    responses on the caller's thread in plan order: it logs the sample, scores
-    the candidate, runs a failure's reflection chain on the caller's thread and
-    sends a success's category call.  Events wait in `_queue` behind the first
-    candidate whose label has not arrived, so the event stream is that of a
-    run that makes one call at a time.  Requests past the point where the
-    sample budget runs out are never committed: their responses and errors
-    are dropped.  While the provider answers within `POOL_MIN_S`, each call is
-    made on the caller's thread when it is sent, which changes only where it
-    runs.
+    the one it commits in flight on a pool of as many threads (16).  It commits
+    the responses on the caller's thread in plan order: it logs the sample,
+    scores the candidate, runs a failure's reflection chain on the caller's
+    thread and sends a success's category call.  Events wait in `_queue`
+    behind the first candidate whose label has not arrived, so the event
+    stream is that of a run that makes one call at a time.  Requests past the
+    point where the sample budget runs out are never committed: up to 16 may
+    have been sent, and their responses and errors are dropped.  While the
+    provider answers within `POOL_MIN_S`, each call is made on the caller's
+    thread when it is sent, which changes only where it runs.
 
-    Candidates are simulated on `SIM_WORKERS` forked worker processes, one
-    task per (program, instance).  Before each commit the caller parses every
+    While the provider is slow, `_prefetch` also sends ahead the first
+    reflection call of each request in the window that has already failed,
+    rendered as a run making one call at a time would render it if every
+    chain before it took one attempt.  `_reflect` uses a prefetched call only
+    when its own prompt is the same text, so the events cannot change; a
+    wrong guess is a dropped call, which no event records.
+
+    Candidates are simulated on `SIM_WORKERS` forked worker processes (one
+    per CPU, at most `MAX_IN_FLIGHT`), one task per (program, instance).  Before each commit the caller parses every
     response of the window that has arrived and sends the simulations of each
     tree not yet scored, so the workers score ahead of the commits; the commit
     reads the results in instance order.  Scores are pure functions of the
@@ -433,6 +448,8 @@ class EvolutionEngine:
         self._pool: ThreadPoolExecutor | None = None  # open inside `run` and `initialize`
         self._sims = None  # the ProcessPoolExecutor of the simulations, open with `_pool`
         self._slow = False  # the provider's last call took POOL_MIN_S or more
+        # The reflection calls `_prefetch` sent in the current wave, by prompt.
+        self._prefetched: dict[str, _Request] = {}
 
     # ------------------------------------------------------------- plumbing
 
@@ -551,22 +568,24 @@ class EvolutionEngine:
         self._known_labels = tuple(sorted(self.state.category_counts))
         requests = self._send(plan)
         window = deque(itertools.islice(requests, MAX_IN_FLIGHT))
+        reflects = self.config.enable_reflection and self.config.reflection_budget > 0
         ids: list[int] = []
         try:
             while window and not self._budget_spent():
                 request = window.popleft()
                 window.extend(itertools.islice(requests, 1))
                 for arrived in (request, *window):  # score ahead, in plan order
-                    if (arrived.parsed is None and arrived.response.done()
-                            and arrived.response.exception() is None):
-                        self._parse(arrived)
+                    self._arrived(arrived)
+                if reflects and self._slow:
+                    self._prefetch((request, *window))
                 self._calls[request.kind] += 1
                 candidate_id = self._commit(request, generation)
                 if candidate_id is not None:
                     ids.append(candidate_id)
         finally:
-            for request in window:
-                request.response.cancel()  # never committed; dropped if it has started
+            for request in (*window, *self._prefetched.values()):
+                request.response.cancel()  # never committed or used; dropped if it has started
+            self._prefetched.clear()
         return ids
 
     def _send(self, plan: Iterable[tuple[PromptKind, str, Candidate | None]]
@@ -592,6 +611,64 @@ class EvolutionEngine:
             yield _Request(kind, origin, None if parent is None else parent.id, self._call(
                 self.provider.complete, prompt, seed=ctx.seed,
                 temperature=self.provider.config.temperature))
+
+    def _prefetch(self, requests: Sequence[_Request]) -> None:
+        """Send ahead the first reflection call of each failed request of
+        `requests`, the window from the one about to be committed in plan order,
+        unless a call with its prompt was sent in this wave already.
+
+        The walk counts samples and reflection calls as a run making one call
+        at a time would.  It stops at a response that has not arrived, at a
+        first reflection that has arrived and failed (the chain's length is
+        then unknown) and where the sample budget would be spent.  A program
+        still being simulated counts as a success, and a chain whose first
+        reflection has not arrived as repaired by it.
+        """
+        samples, index = self._samples, self._calls[PromptKind.REFLECTION]
+        for request in requests:
+            if samples >= self.config.max_samples or not self._arrived(request):
+                return
+            samples += 1
+            failure = self._failure(request)
+            if failure is None:
+                continue
+            if samples >= self.config.max_samples:
+                return
+            samples += 1
+            thought, code, error = failure
+            ctx = self._ctx(parent_thought=thought, parent_code=code, error_message=error,
+                            seed=self.config.rng_seed + samples, index=index)
+            index += 1
+            prompt = llm.render_prompt(PromptKind.REFLECTION, ctx,
+                                       self.provider.config.max_prompt_bytes)
+            attempt = self._prefetched.get(prompt)
+            if attempt is None:
+                attempt = self._prefetched[prompt] = _Request(
+                    PromptKind.REFLECTION, "reflection-repair", request.parent_id,
+                    self._pool.submit(self._timed, self.provider.complete, prompt, seed=ctx.seed,
+                                      temperature=llm.DETERMINISTIC_TEMPERATURE))
+            if attempt.response.done() and (not self._arrived(attempt)
+                                            or self._failure(attempt) is not None):
+                return
+
+    def _arrived(self, request: _Request) -> bool:
+        """Whether the response of `request` has arrived without an error; if so,
+        it is parsed."""
+        response = request.response
+        if request.parsed is None and response.done() and response.exception() is None:
+            self._parse(request)
+        return request.parsed is not None
+
+    def _failure(self, request: _Request) -> tuple[str, str, str] | None:
+        """The (thought, code, error) that the first reflection prompt of the
+        parsed `request` shows, or None if its program succeeds or is still
+        being simulated."""
+        parsed = request.parsed
+        if isinstance(parsed, ParseFailure):
+            return *_reflection_input(parsed, request.response.result()), str(parsed)
+        thought, code, key = parsed
+        score = str(key) if isinstance(key, ParseError) else self._settled(key)
+        return (thought, code, score) if isinstance(score, str) else None
 
     def _parse(self, request: _Request) -> None:
         """Parse the arrived response of `request`, once, and send its program's
@@ -636,6 +713,18 @@ class EvolutionEngine:
             self._scores[key] = score = result
         return score
 
+    def _settled(self, key: str) -> problems.EvalReport | str | None:
+        """The score of a compiled tree if `_score` can read it without waiting,
+        else None."""
+        score = self._scores[key]
+        if isinstance(score, list):
+            for simulation in score:
+                if not simulation.done() or simulation.exception() is not None:
+                    return None
+                if isinstance(simulation.result(), str):
+                    break
+        return self._score(key)
+
     def _commit(self, request: _Request, generation: int) -> int | None:
         """One generation call's sample plus, on failure, the reflection loop; a
         candidate id or None.  A ProviderError of the call is raised after its
@@ -647,18 +736,17 @@ class EvolutionEngine:
             self._log_sample(request.kind, parent_id, generation)
         self._parse(request)
         if isinstance(request.parsed, ParseFailure):
-            e = request.parsed
-            # Give reflection whatever there is to work with.
-            thought = e.thought or "(no thought block provided)"
-            code = e.code or raw
+            error = str(request.parsed)
+            thought, code = _reflection_input(request.parsed, raw)
             self._log("evaluation", generation=generation, parent_id=parent_id, origin=origin,
-                      error=str(e))
-            return self._reflect(thought, code, str(e), parent_id, generation)
-        thought, code, key = request.parsed
-        result = self._attempt(thought, code, key, origin, parent_id, generation)
-        if isinstance(result, int):
-            return result
-        return self._reflect(thought, code, result, parent_id, generation)
+                      error=error)
+        else:
+            thought, code, key = request.parsed
+            result = self._attempt(thought, code, key, origin, parent_id, generation)
+            if isinstance(result, int):
+                return result
+            error = result
+        return self._reflect(thought, code, error, parent_id, generation)
 
     def _attempt(self, thought: str, code: str, key: str | ParseError, origin: str,
                  parent_id: int | None, generation: int,
@@ -690,7 +778,8 @@ class EvolutionEngine:
     def _reflect(self, thought: str, code: str, error: str,
                  parent_id: int | None, generation: int) -> int | None:
         """The reflection chain, on the caller's thread: each attempt's index and
-        prompt depend on the outcome of the one before."""
+        prompt depend on the outcome of the one before.  An attempt whose prompt
+        was prefetched waits for that call instead of making one."""
         budget_b = self.config.reflection_budget
         step = {"generation": generation, "parent_id": parent_id}
         if not self.config.enable_reflection or budget_b < 1:
@@ -705,12 +794,12 @@ class EvolutionEngine:
             ctx = self._ctx(parent_thought=thought, parent_code=code, error_message=error,
                             seed=self._seed(), index=self._calls[PromptKind.REFLECTION])
             self._calls[PromptKind.REFLECTION] += 1
-            try:
-                thought, code = llm.reflect(self.provider, ctx)
-            except ParseFailure as e:
-                error = str(e)
+            parsed = self._reflection(ctx)
+            if isinstance(parsed, ParseFailure):
+                error = str(parsed)
             else:
-                result = self._attempt(thought, code, self._compile(code), "reflection-repair",
+                thought, code, key = parsed
+                result = self._attempt(thought, code, key, "reflection-repair",
                                        parent_id, generation, reflection_attempts=attempt)
                 if isinstance(result, int):
                     self._log("reflection", **step, attempt=attempt, outcome="repaired",
@@ -720,6 +809,23 @@ class EvolutionEngine:
             self._log("reflection", **step, attempt=attempt, outcome="failed", error=error)
         self._log("reflection", **step, attempt=budget_b, outcome="abandoned", error=error)
         return None
+
+    def _reflection(self, ctx: PromptContext) -> tuple[str, str, str | ParseError] | ParseFailure:
+        """One repair attempt's response, parsed like a `_Request`'s: that of the
+        call prefetched with the same prompt, else that of a call made now.  A
+        ProviderError of either call is raised."""
+        if self._prefetched:
+            prompt = llm.render_prompt(PromptKind.REFLECTION, ctx,
+                                       self.provider.config.max_prompt_bytes)
+            prefetched = self._prefetched.get(prompt)
+            if prefetched is not None:
+                self._parse(prefetched)
+                return prefetched.parsed
+        try:
+            thought, code = llm.reflect(self.provider, ctx)
+        except ParseFailure as e:
+            return e
+        return thought, code, self._compile(code)
 
     # ------------------------------------------------------------- spec ops
 

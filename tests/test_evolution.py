@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 import multiprocessing
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdeoh import dsl, evolution, llm, problems
+from cdeoh import cli, dsl, evolution, llm, problems
 from cdeoh.evolution import (
     BudgetExhaustedError,
     Candidate,
@@ -661,16 +662,23 @@ class ThreadedProvider(ScriptedProvider):
     With `delay_seed` set, each call first sleeps a delay drawn from
     (seed, kind, call index), so it depends on the call, not on its timing;
     some delays fall below POOL_MIN_S and some above.  `delay_s` fixes the
-    delay instead.
+    delay instead, and `delays` fixes it for the calls it names by (kind,
+    call index, variation seed).  With `answers` set, a prompt not in it
+    misses the transcript.
     """
 
-    def __init__(self, path, delay_seed: int | None = None, delay_s: float | None = None):
+    def __init__(self, path, delay_seed: int | None = None, delay_s: float | None = None,
+                 delays: dict[tuple[str, int, int], float] | None = None,
+                 answers: set[str] | None = None):
         super().__init__(path)
         self.delay_seed = delay_seed
         self.delay_s = delay_s
+        self.delays = delays or {}
+        self.answers = answers
         self.caller = threading.current_thread()
-        # (kind, index) -> (prompt, seed, temperature) of each call
-        self.calls: dict[tuple[str, int], tuple[str, int, float | None]] = {}
+        # (kind, index, prompt, seed, temperature) of each call, in the order made
+        self.calls: list[tuple[str, int, str, int, float | None]] = []
+        self.pool_calls: list[tuple[str, int]] = []  # (kind, index) of each call made on the pool
         self.thread_names: set[str] = set()
         self.in_flight: list[tuple[str, bool]] = []  # (kind, made on the pool) per call
         self.max_in_flight = self.max_on_pool = 0
@@ -685,18 +693,41 @@ class ThreadedProvider(ScriptedProvider):
             self.in_flight.append(call)
             self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
             self.max_on_pool = max(self.max_on_pool, sum(pool for _, pool in self.in_flight))
-            self.calls[(kind.value, index)] = (prompt, seed, temperature)
+            self.calls.append((kind.value, index, prompt, seed, temperature))
+            if call[1]:
+                self.pool_calls.append((kind.value, index))
             self.thread_names.add(threading.current_thread().name)
         try:
-            if self.delay_s is not None:
-                time.sleep(self.delay_s)
+            delay = self.delays.get((kind.value, index, seed), self.delay_s)
+            if delay is not None:
+                time.sleep(delay)
             elif self.delay_seed is not None:
                 rng = random.Random(f"{self.delay_seed}:{kind.value}:{index}")
                 time.sleep(rng.uniform(evolution.POOL_MIN_S / 2, 6 * evolution.POOL_MIN_S))
+            if self.answers is not None and prompt not in self.answers:
+                raise ProviderError("transcript-miss", f"no answer for this {kind.value} prompt")
             return super().complete(prompt, seed=seed, temperature=temperature)
         finally:
             with self._lock:
                 self.in_flight.remove(call)
+
+
+def uncommitted_calls(events, serial: ThreadedProvider, delayed: ThreadedProvider) -> list:
+    """The calls of `delayed` whose responses its run did not commit, once it is
+    checked that `delayed` made each call that `serial` committed, with the same
+    prompt, seed and temperature, and each of those prompts once.  `events` is
+    the event stream of both runs."""
+    used = Counter(p["kind"] for e, p in events if e == "sample")
+    used["category-induction"] = sum(e == "evaluation" and "candidate_id" in p for e, p in events)
+    committed = Counter(call for call in serial.calls if call[1] < used[call[0]])
+    assert not committed - Counter(delayed.calls)
+    extra = list((Counter(delayed.calls) - committed).elements())
+    prompts = {prompt for _, _, prompt, *_ in committed}
+    for kind, index, prompt, *_ in extra:
+        assert prompt not in prompts, (kind, index)
+        # a guessed reflection, or a request past the point where the budget ran out
+        assert kind == "reflection" or index >= used[kind], (kind, index)
+    return extra
 
 
 def logged_run(provider, cfg) -> list[tuple[str, dict]]:
@@ -746,7 +777,7 @@ def wide_transcript(n: int) -> TranscriptBuilder:
 def test_calls_of_one_kind_overlap_and_at_most_max_in_flight_run_on_the_pool(
         tmp_path, monkeypatch, limit):
     monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
-    n = 5  # 10 requests in generation 1, more than either limit
+    n = 9  # 18 requests in generation 1, more than either limit
     provider = ThreadedProvider(wide_transcript(n).write(tmp_path / "t.jsonl"), delay_s=0.1)
     logged_run(provider, config(population_size=n, max_generations=1))
     assert provider.same_kind_overlaps > 0
@@ -761,11 +792,14 @@ def test_random_call_delays_leave_events_and_prompts_unchanged(tmp_path, monkeyp
     monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
     instant = ThreadedProvider(path)
     want = logged_run(instant, mixed_config())
-    for limit in (1, 2, 8):
+    assert uncommitted_calls(want, instant, instant) == []  # the budget never runs out
+    for limit in (1, 2, 8, 16):
         monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
         delayed = ThreadedProvider(path, delay_seed)
         assert logged_run(delayed, mixed_config()) == want, limit
-        assert delayed.calls == instant.calls, limit  # (kind, index) -> prompt, seed, temperature
+        # Every call of the instant run, and besides them only guessed reflections.
+        extra = uncommitted_calls(want, instant, delayed)
+        assert [kind for kind, *_ in extra] == ["reflection"] * len(extra), limit
         assert sum(map(delayed.calls_made, PromptKind)) == len(delayed.calls)  # none lost
     assert {"repaired", "abandoned"} <= {p["outcome"] for e, p in want if e == "reflection"}
 
@@ -791,6 +825,99 @@ def test_budget_spent_mid_wave_on_an_exact_length_transcript_ends_normally(
     assert want[-1][0] == "generation-summary" and want[-1][1]["cumulative_samples"] == 12
 
 
+def two_failures_transcript() -> TranscriptBuilder:
+    """A population of 2 whose generation 1 plans A, B, C, D: B fails and is
+    repaired by its second reflection, C fails and is repaired by its first.
+    Every entry is used by a run of 100 samples and reflection budget 2."""
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [ladder_response(3), ladder_response(4)])
+    tb.add("refinement", ladder_response(2))  # A
+    tb.add("innovation", BROKEN_CODE_RESPONSE)  # B
+    tb.add("refinement", BROKEN_CODE_RESPONSE)  # C
+    tb.add("innovation", ladder_response(0))  # D
+    tb.add_many("reflection", [BROKEN_CODE_RESPONSE, ladder_response(1), ladder_response(5)])
+    tb.add_many("category-induction", ["greedy", "balance", "greedy", "x", "y", "threshold"])
+    return tb
+
+
+TWO_FAILURES_CONFIG = dict(population_size=2, elite_categories=2, max_generations=1,
+                           reflection_budget=2, max_samples=100)
+
+# Calls by (kind, index, variation seed).  A and B's first reflection are slow,
+# so the walk before B's commit finds B and C failed while B's reflection is in
+# flight.  It counts B's chain as one call and sends C's first reflection as
+# call 1 at seed 7; a run making one call at a time sends it as call 2 at seed
+# 8, after B's second reflection (call 1, seed 6).
+A_CALL, B_FIRST_REFLECTION, C_GUESS = ("refinement", 0, 2), ("reflection", 0, 5), ("reflection", 1, 7)
+SLOW_CALLS = {A_CALL: 0.06, B_FIRST_REFLECTION: 0.06}
+
+
+def cli_run(run_dir, monkeypatch, capsys, provider, evolution_config: dict) -> dict:
+    """`cdeoh run` of the ladder suite answered by `provider`: its exit code,
+    error output, events minus `ts` and best.json."""
+    monkeypatch.setattr(llm, "make_provider", lambda config: provider)
+    monkeypatch.setattr(cli.ObpSuiteConfig, "build", lambda self: ladder_suite())
+    run_dir.mkdir()
+    config = run_dir / "config.json"
+    config.write_text(json.dumps({
+        "task": "obp", "evolution": evolution_config, "output_dir": str(run_dir / "runs"),
+        "provider": {"provider": "scripted", "transcript_path": provider.config.transcript_path}}))
+    capsys.readouterr()
+    code = cli.main(["run", str(config)])
+    (out,) = (run_dir / "runs").iterdir()
+    best = out / "best.json"
+    return {"exit": code, "error": capsys.readouterr().err,
+            "events": cli.strip_timestamps(cli.read_events(out / "events.jsonl")),
+            "best.json": best.read_text() if best.exists() else None}
+
+
+PREFETCH_CASES = {
+    # C's guess is dropped, and C's first reflection is sent again when it is known
+    "wrong-guess": {},
+    # the budget runs out inside B's chain (4, 5), at C (6), inside C's chain (7)
+    # and at D (8)
+    **{f"budget-{n}": {"max_samples": n} for n in range(4, 9)},
+    # C's guess misses a provider that answers only the prompts of a serial run
+    "exact-prompts": {"exact": True},
+    # B's first reflection, prefetched and used, misses the transcript and ends the run
+    "used-prefetch-raises": {"missing": ("reflection", 0)},
+}
+
+
+@pytest.mark.parametrize("case", PREFETCH_CASES)
+def test_wrongly_guessed_or_failing_prefetches_leave_the_run_of_one_call_at_a_time(
+        tmp_path, monkeypatch, capsys, case):
+    opts = PREFETCH_CASES[case]
+    tb = two_failures_transcript()
+    tb.entries = [e for e in tb.entries if e[:2] != opts.get("missing")]
+    path = tb.write(tmp_path / "t.jsonl")
+    cfg = {**TWO_FAILURES_CONFIG, "max_samples": opts.get("max_samples", 100)}
+    default = evolution.MAX_IN_FLIGHT
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
+    serial = ThreadedProvider(path)
+    want = cli_run(tmp_path / "serial", monkeypatch, capsys, serial, cfg)
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", default)
+    answers = {prompt for _, _, prompt, *_ in serial.calls} if opts.get("exact") else None
+    delayed = ThreadedProvider(path, delay_s=2 * evolution.POOL_MIN_S, delays=SLOW_CALLS,
+                               answers=answers)
+    assert cli_run(tmp_path / "delayed", monkeypatch, capsys, delayed, cfg) == want
+    events = [(e["event"], e["payload"]) for e in want["events"]]
+    extra = uncommitted_calls(events, serial, delayed)
+    guesses = [(kind, index, seed) for kind, index, _, seed, _ in extra if kind == "reflection"]
+    if case != "budget-4":  # B's chain ends before its first reflection there
+        assert ("reflection", 0) in delayed.pool_calls  # B's first reflection was prefetched
+    # the walk stops where the budget would be spent, so it guesses for C only from 7 on
+    assert guesses == ([C_GUESS] if cfg["max_samples"] >= 7 else [])
+    if case in ("wrong-guess", "exact-prompts"):
+        assert want["exit"] == 0 and want["best.json"] is not None
+        assert ("reflection", 2) in delayed.pool_calls  # C's first reflection, sent again
+    elif case == "used-prefetch-raises":
+        assert want["exit"] == 1
+        assert "no transcript entry for kind='reflection' index=0" in want["error"]
+    else:
+        assert events[-1][1]["cumulative_samples"] == opts["max_samples"]
+
+
 def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_path,
                                                                           monkeypatch):
     # A scripted call takes microseconds, but a pause of the process can stretch
@@ -799,7 +926,7 @@ def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_pa
     monkeypatch.setattr(evolution, "POOL_MIN_S", 1.0)
     provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"))
     logged_run(provider, mixed_config())
-    assert sum(kind == "category-induction" for kind, _ in provider.calls) == 9
+    assert sum(kind == "category-induction" for kind, *_ in provider.calls) == 9
     assert provider.thread_names == {threading.current_thread().name}
 
 
@@ -825,8 +952,9 @@ def test_instant_provider_run_starts_no_worker_thread(tmp_path, monkeypatch):
 
 def test_no_worker_thread_outlives_run(tmp_path, monkeypatch):
     """No thread or simulation worker of the engine outlives `run` or
-    `initialize`, whether it returns or raises, and every worker is forked
-    while no thread of the engine is alive."""
+    `initialize`, whether it returns or raises, also while prefetched
+    reflection calls are in flight, and every worker is forked while no thread
+    of the engine is alive."""
     fork, forks = os.fork, []  # the names of the threads alive at each fork
 
     def recording_fork():
@@ -840,15 +968,41 @@ def test_no_worker_thread_outlives_run(tmp_path, monkeypatch):
     missing_innovation.entries = [e for e in tb.entries if e[:2] != ("innovation", 1)]
     broken = TranscriptBuilder().add_many("initialization", [BROKEN_CODE_RESPONSE] * 4)
     broken.add_many("reflection", [BROKEN_CODE_RESPONSE] * 12)
-    for transcript, samples, error, start in (
-            (tb, 100, None, EvolutionEngine.run),
-            (missing_innovation, 100, ProviderError, EvolutionEngine.run),
-            (broken, 8, BudgetExhaustedError, EvolutionEngine.initialize)):
+    two_failures = two_failures_transcript()
+    missing_reflection = TranscriptBuilder()
+    missing_reflection.entries = [e for e in two_failures.entries if e[:2] != ("reflection", 0)]
+    # C's guess outlasts the run, which B's missing reflection may end.
+    guess_in_flight = {**SLOW_CALLS, C_GUESS: 0.5}
+    # Three failing initializations, reflection budget 2 and 7 samples: the walk
+    # before the second's commit sends the third's first reflection as call 3
+    # at seed 7; the second's chain takes call 3 at seed 6, and the budget ends
+    # before the third's chain.
+    init_guess_in_flight = {("reflection", 0, 2): 0.06, ("reflection", 2, 5): 0.06,
+                            ("reflection", 3, 7): 0.5}
+    cases = (  # transcript, config, delays (None: random), error, entry point
+        (tb, mixed_config(), None, None, EvolutionEngine.run),
+        (missing_innovation, mixed_config(), None, ProviderError, EvolutionEngine.run),
+        (broken, mixed_config(max_samples=8), None, BudgetExhaustedError,
+         EvolutionEngine.initialize),
+        (two_failures, config(**TWO_FAILURES_CONFIG), guess_in_flight, None, EvolutionEngine.run),
+        (missing_reflection, config(**TWO_FAILURES_CONFIG), guess_in_flight, ProviderError,
+         EvolutionEngine.run),
+        (broken, config(population_size=3, reflection_budget=2, max_samples=7),
+         init_guess_in_flight, BudgetExhaustedError, EvolutionEngine.initialize))
+    for transcript, cfg, delays, error, start in cases:
         forks.clear()
-        provider = ThreadedProvider(transcript.write(tmp_path / "t.jsonl"), delay_seed=1)
-        engine = EvolutionEngine(mixed_config(max_samples=samples), provider, ladder_suite())
+        path = transcript.write(tmp_path / "t.jsonl")
+        if delays is None:
+            provider = ThreadedProvider(path, delay_seed=1)
+        else:
+            provider = ThreadedProvider(path, delay_s=2 * evolution.POOL_MIN_S, delays=delays)
+        in_flight = []  # the calls in flight at each event
+        engine = EvolutionEngine(cfg, provider, ladder_suite(),
+                                 log=lambda e, p: in_flight.append(list(provider.in_flight)))
         with pytest.raises(error) if error else contextlib.nullcontext():
             start(engine)
+        if delays is not None:  # a prefetched reflection was in flight when it ended
+            assert ("reflection", True) in in_flight[-1], error
         assert any(name.startswith("cdeoh-call") for name in provider.thread_names), error
         assert len(forks) == evolution.SIM_WORKERS, error
         assert not [name for names in forks for name in names if name.startswith("cdeoh-")]
