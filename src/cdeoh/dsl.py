@@ -467,7 +467,6 @@ def pretty_print(program: Program) -> str:
 # many calls (the simulators, after `bind`).
 
 _Scalar = np.float64
-_FLOAT64 = np.dtype(np.float64)
 _NAN = _Scalar(np.nan)
 
 _ARITH_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
@@ -657,21 +656,12 @@ def _checked(program: Program, inputs: Mapping[str, object]) -> tuple[_Compiled,
             raw = inputs[name]
         except KeyError:
             raise EvalError("missing-input", f"missing input {name!r}") from None
-        if kind == "vector":
-            # exact float64 1-d arrays pass as they are; anything else is coerced
-            if (type(raw) is not np.ndarray or raw.dtype is not _FLOAT64 or raw.ndim != 1
-                    or raw.shape[0] > MAX_VECTOR_LENGTH):
-                raw = _coerce_input(name, kind, raw)
-            if raw.shape[0] != length:
-                if length >= 0:
-                    raise EvalError("length-mismatch", f"vector inputs differ in length:"
-                                    f" {first!r} has {length}, {name!r} has {raw.shape[0]}")
-                length, first = raw.shape[0], name
-        elif type(raw) is float:
-            raw = _Scalar(raw)
-        else:
-            raw = _coerce_input(name, kind, raw)
-        env[name] = raw
+        env[name] = raw = _coerce_input(name, kind, raw)
+        if kind == "vector" and raw.shape[0] != length:
+            if length >= 0:
+                raise EvalError("length-mismatch", f"vector inputs differ in length:"
+                                f" {first!r} has {length}, {name!r} has {raw.shape[0]}")
+            length, first = raw.shape[0], name
     if compiled.n_nodes > MAX_PROGRAM_NODES:
         raise EvalError("limit-exceeded", f"program has {compiled.n_nodes} nodes; node-visit budget"
                         f" {MAX_PROGRAM_NODES} exhausted")

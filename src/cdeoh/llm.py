@@ -46,13 +46,6 @@ class PromptKind(str, Enum):
     REFLECTION = "reflection"
 
 
-GENERATION_KINDS = (
-    PromptKind.INITIALIZATION,
-    PromptKind.REFINEMENT,
-    PromptKind.INNOVATION,
-    PromptKind.REFLECTION,
-)
-
 _NEEDS_PARENT = (PromptKind.REFINEMENT, PromptKind.INNOVATION,
                  PromptKind.CATEGORY_INDUCTION, PromptKind.REFLECTION)
 

@@ -804,6 +804,64 @@ def test_random_call_delays_leave_events_and_prompts_unchanged(tmp_path, monkeyp
     assert {"repaired", "abandoned"} <= {p["outcome"] for e, p in want if e == "reflection"}
 
 
+def calls_the_events_give(events, cfg: EvolutionConfig, temperature: float) -> list:
+    """The (kind, index, seed, temperature, code shown) of each committed call,
+    worked out from the events alone; the code is that of a category call's
+    candidate, else None.
+
+    A call's index counts the samples of its kind before it, and a category
+    call's is its candidate's id minus 1.  A reflection's seed is `rng_seed`
+    plus its sample index, a category call's `rng_seed` plus the samples
+    before its evaluation, and a wave request's `rng_seed` plus the samples
+    before its wave plus its position in the wave.  A wave is the initial
+    requests still missing, or a generation's 2N offspring requests."""
+    calls, per_kind, n = [], Counter(), cfg.population_size
+    samples = born = wave_left = position = wave_start = 0
+    wave_generation = None
+    for event, p in events:
+        if event == "sample":
+            kind = p["kind"]
+            if kind == "reflection":
+                seed, called_at = cfg.rng_seed + p["sample_index"], llm.DETERMINISTIC_TEMPERATURE
+            else:
+                if wave_left == 0 or p["generation"] != wave_generation:
+                    wave_generation, wave_start, position = p["generation"], samples, 0
+                    wave_left = n - born if p["generation"] == 0 else 2 * n
+                seed, called_at = cfg.rng_seed + wave_start + position, temperature
+                position, wave_left = position + 1, wave_left - 1
+            calls.append((kind, per_kind[kind], seed, called_at, None))
+            per_kind[kind] += 1
+            samples += 1
+        elif event == "evaluation" and "candidate_id" in p:
+            born += p["generation"] == 0
+            calls.append(("category-induction", p["candidate_id"] - 1, cfg.rng_seed + samples,
+                          llm.DETERMINISTIC_TEMPERATURE, p["code"]))
+    return calls
+
+
+@pytest.mark.parametrize("limit", [1, evolution.MAX_IN_FLIGHT])
+def test_each_committed_call_has_the_key_the_events_give(tmp_path, monkeypatch, limit):
+    """Checked against the events, not against a second run of the same code, so
+    a change of the rule on both sides shows too."""
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
+    provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"), delay_seed=1)
+    provider.config.temperature = 0.7
+    cfg = mixed_config()
+    events = logged_run(provider, cfg)
+    made = {}  # (kind, index, seed) -> [(prompt, temperature)] of each call made
+    for kind, index, prompt, seed, temperature in provider.calls:
+        made.setdefault((kind, index, seed), []).append((prompt, temperature))
+    want = calls_the_events_give(events, cfg, 0.7)
+    assert Counter(kind for kind, *_ in want) == {
+        "initialization": 2, "refinement": 4, "innovation": 4, "reflection": 5,
+        "category-induction": 9}
+    for kind, index, seed, temperature, code in want:
+        (prompt, called_at), = made[kind, index, seed]
+        assert called_at == temperature, (kind, index)
+        if code is not None:
+            assert f"Current algorithm code:\n```\n{code}\n```" in prompt, index
+
+
 @pytest.mark.parametrize("limit", [1, 8])
 def test_budget_spent_mid_wave_on_an_exact_length_transcript_ends_normally(
         tmp_path, monkeypatch, limit):

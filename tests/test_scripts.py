@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under scripts/ run end to end against the package,
 and the names the package and the benchmark rely on resolve."""
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -89,3 +90,44 @@ def test_cli_import_loads_no_http_client_and_jsonio_no_other_cdeoh_module(tmp_pa
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def _unused_names(path: Path) -> list[str]:
+    """The module-level imports and module-private (`_name`) functions, classes
+    and constants of the module at `path` that the module never reads.  An
+    import on a `# noqa: F401` line, and every import of `__init__.py`, counts
+    as read."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    unused = []
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            if path.name == "__init__.py" or getattr(stmt, "module", None) == "__future__":
+                continue
+            for alias in stmt.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno}: import {name}")
+            continue
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            private = name.startswith("_") and not name.startswith("__")
+            if private and name not in read:
+                unused.append(f"{path.name}:{stmt.lineno}: {name}")
+    return unused
+
+
+def test_package_has_no_unused_import_or_private_name():
+    """A lint the package keeps without a linter: every module-level import and
+    every module-private definition of src/cdeoh is read somewhere."""
+    paths = sorted((ROOT / "src" / "cdeoh").glob("*.py"))
+    assert [found for path in paths for found in _unused_names(path)] == []
