@@ -32,7 +32,7 @@ from cdeoh.llm import ProviderConfig, ProviderError
 from cdeoh.problems import BenchmarkSuite, CandidateFailure
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     pass
 
 
@@ -137,18 +137,18 @@ def load_run_config(path: str | Path) -> RunConfig:
 # --------------------------------------------------------------------------
 
 class RunLogWriter:
-    """Single serialized writer of the event stream; replay leaves out `ts`."""
+    """Single serialized writer of the event stream, a run's and a replay's:
+    each record has its `seq`, `event`, `payload` and wall-clock `ts`, which
+    replay equality leaves out (`strip_timestamps`)."""
 
-    def __init__(self, fh: TextIO, timestamps: bool = True):
+    def __init__(self, fh: TextIO):
         self.seq = 0
         self._fh = fh
-        self._timestamps = timestamps
 
     def emit(self, event: str, payload: dict) -> None:
         assert event in PAYLOADS, event
-        record = {"seq": self.seq, "event": event, "payload": payload}
-        if self._timestamps:
-            record["ts"] = datetime.now(timezone.utc).isoformat()
+        record = {"seq": self.seq, "event": event, "payload": payload,
+                  "ts": datetime.now(timezone.utc).isoformat()}
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
         self._fh.flush()
         self.seq += 1
@@ -250,31 +250,27 @@ def _write_results(run_dir: Path) -> RunState:
 
 
 def cmd_run(config_path: str) -> int:
-    try:
-        cfg = load_run_config(config_path)
-        suite = cfg.suite.build()
-        provider = llm.make_provider(cfg.provider)
-        run_dir = _fresh_run_dir(Path(cfg.output_dir))
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cfg = load_run_config(config_path)
+    suite = cfg.suite.build()
+    provider = llm.make_provider(cfg.provider)
+    run_dir = _fresh_run_dir(Path(cfg.output_dir))
     (run_dir / "config.json").write_text(json.dumps(cfg.raw, indent=2, sort_keys=True))
     if cfg.provider.provider == "scripted":
         shutil.copy(cfg.provider.transcript_path, run_dir / "transcript.jsonl")
 
+    error = None
     try:
         with (run_dir / "events.jsonl").open("w") as fh:
             EvolutionEngine(cfg.evolution, provider, suite, log=RunLogWriter(fh).emit).run()
     except (BudgetExhaustedError, ProviderError, ValueError) as e:
-        # An aborted run still leaves what it evaluated before the error.
-        _write_results(run_dir)
-        print(f"run dir: {run_dir}")
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-
+        error = e
+    # An aborted run still leaves what it evaluated before the error.
     state = _write_results(run_dir)
-    best = state.best
     print(f"run dir: {run_dir}")
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+    best = state.best
     print(f"samples used: {state.samples}")
     fitness, gap = best.fitness + 0.0, -best.fitness + 0.0  # + 0.0 turns -0.0 into 0.0
     print(f"best fitness: {fitness:.6f} (gap {gap:.6f}%) category: {best.category}")
@@ -319,20 +315,12 @@ def _format_table(headers, rows) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        code = _load_heuristic_code(Path(args.heuristic))
-        suite = _suite_from_args(args)
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    code = _load_heuristic_code(Path(args.heuristic))
+    suite = _suite_from_args(args)
     try:
         program = dsl.parse(code, problems.input_signature(suite.task))
-    except dsl.ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    try:
         report = problems.evaluate_candidate(suite, program)
-    except CandidateFailure as e:
+    except (dsl.ParseError, CandidateFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -350,12 +338,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _setting_means(labels, gaps) -> dict[str, float]:
+    """The mean gap of each setting label, in the order labels first appear."""
+    by_label: dict[str, list[float]] = {}
+    for label, gap in zip(labels, gaps):
+        by_label.setdefault(label, []).append(gap)
+    return {label: float(np.mean(g)) for label, g in by_label.items()}
+
+
 def cmd_bench(args) -> int:
-    try:
-        suite = _suite_from_args(args)
-    except (ConfigError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    suite = _suite_from_args(args)
     if suite.task == "obp":
         baselines = {
             "first-fit": lambda inst: problems.first_fit_bin_count(inst.items, inst.capacity),
@@ -370,15 +362,12 @@ def cmd_bench(args) -> int:
         }
         reference = problems.tsp_reference
 
-    settings = sorted(set(suite.labels), key=suite.labels.index)
+    refs = [reference(inst) for inst in suite.instances]
     rows = []
     for name, run in baselines.items():
-        gaps_by_setting = {s: [] for s in settings}
-        for inst, label in zip(suite.instances, suite.labels):
-            ref = reference(inst)
-            gaps_by_setting[label].append(100.0 * (run(inst) - ref) / ref)
-        rows.append([name] + [f"{np.mean(gaps_by_setting[s]):.4f}" for s in settings])
-    print(_format_table(["baseline"] + [f"{s} gap%" for s in settings], rows))
+        gaps = [100.0 * (run(inst) - ref) / ref for inst, ref in zip(suite.instances, refs)]
+        rows.append([name] + [f"{m:.4f}" for m in _setting_means(suite.labels, gaps).values()])
+    print(_format_table(["baseline"] + [f"{s} gap%" for s in dict.fromkeys(suite.labels)], rows))
     return 0
 
 
@@ -394,21 +383,15 @@ def _replay_events(run_dir: Path) -> list[dict]:
     if transcript.exists():
         cfg.provider.transcript_path = str(transcript)
     buf = io.StringIO()
-    provider = llm.make_provider(cfg.provider)
-    engine = EvolutionEngine(cfg.evolution, provider, cfg.suite.build(),
-                             log=RunLogWriter(buf, timestamps=False).emit)
-    engine.run()
-    return parse_events(buf.getvalue(), "replayed events")
+    EvolutionEngine(cfg.evolution, llm.make_provider(cfg.provider), cfg.suite.build(),
+                    log=RunLogWriter(buf).emit).run()
+    return strip_timestamps(parse_events(buf.getvalue(), "replayed events"))
 
 
 def cmd_replay(run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
-    try:
-        recorded = strip_timestamps(read_events(run_dir / "events.jsonl"))
-        replayed = _replay_events(run_dir)
-    except (ConfigError, BudgetExhaustedError, ProviderError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    recorded = strip_timestamps(read_events(run_dir / "events.jsonl"))
+    replayed = _replay_events(run_dir)
     for i, (a, b) in enumerate(zip(recorded, replayed)):
         if a != b:
             print(f"divergence at seq {i}", file=sys.stderr)
@@ -422,14 +405,9 @@ def cmd_replay(run_dir_arg: str) -> int:
 
 def cmd_report(run_dir_arg: str) -> int:
     run_dir = Path(run_dir_arg)
-    try:
-        state = RunState.from_events(read_events(run_dir / "events.jsonl"))
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    state = RunState.from_events(read_events(run_dir / "events.jsonl"))
     if not state.summaries:
-        print("error: incomplete run: no generation summaries logged", file=sys.stderr)
-        return 2
+        raise ValueError("incomplete run: no generation summaries logged")
     write_summary_csv(run_dir / "report.csv", state)
 
     best = state.best
@@ -454,15 +432,12 @@ def cmd_report(run_dir_arg: str) -> int:
     ]
     try:
         labels = load_run_config(run_dir / "config.json").suite.build().labels
-    except (ConfigError, ValueError):  # no config, or one whose suite does not build
+    except ValueError:  # no config, or one whose suite does not build
         labels = None
     gaps = state.instance_gaps[best.id]
     if labels and len(labels) == len(gaps):
-        per_setting: dict[str, list[float]] = {}
-        for label, gap in zip(labels, gaps):
-            per_setting.setdefault(label, []).append(gap)
-        for label in dict.fromkeys(labels):
-            lines.append(f"- {label}: {np.mean(per_setting[label]):.4f}%")
+        for label, mean in _setting_means(labels, gaps).items():
+            lines.append(f"- {label}: {mean:.4f}%")
     else:
         for i, gap in enumerate(gaps):
             lines.append(f"- instance {i}: {gap:.4f}%")
@@ -515,17 +490,25 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. Exit 1 (a run aborts, a candidate fails, a replay
+    diverges) is the command's own; every unusable input or unfinished replay
+    reaches here as an exception and exits 2 with one `error:` line."""
     args = build_arg_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config)
-    if args.command == "evaluate":
-        return cmd_evaluate(args)
-    if args.command == "bench":
-        return cmd_bench(args)
-    if args.command == "replay":
-        return cmd_replay(args.run_dir)
-    if args.command == "report":
-        return cmd_report(args.run_dir)
+    # An `if` chain, not a table built at import: a tracer may replace `cmd_run` here.
+    try:
+        if args.command == "run":
+            return cmd_run(args.config)
+        if args.command == "evaluate":
+            return cmd_evaluate(args)
+        if args.command == "bench":
+            return cmd_bench(args)
+        if args.command == "replay":
+            return cmd_replay(args.run_dir)
+        if args.command == "report":
+            return cmd_report(args.run_dir)
+    except (ValueError, BudgetExhaustedError, ProviderError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     raise AssertionError(args.command)
 
 

@@ -119,9 +119,6 @@ class Program:
     arity: tuple[tuple[str, Kind], ...]
     _compiled: "_Compiled | None" = field(default=None, init=False, repr=False, compare=False)
 
-    def input_names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.arity)
-
 
 @dataclass(frozen=True)
 class Value:

@@ -347,7 +347,6 @@ def write_transcript(path: str | Path, entries) -> None:
     """Write (kind, index, response) triples as a transcript file."""
     lines = []
     for kind, index, response in entries:
-        kind = PromptKind(kind).value if not isinstance(kind, str) else kind
         lines.append(json.dumps({"kind": kind, "index": index, "response": response}))
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -310,7 +310,8 @@ def test_cmd_run_aborted_by_provider_error_writes_what_exists(tmp_path, capsys):
     want = RunState.from_events(events).best
     best = json.loads((run_dir / "best.json").read_text())
     assert best == {k: getattr(want, k) for k in ("thought", "code", "category", "fitness")}
-    rows = list(csv.DictReader((run_dir / "summary.csv").open()))
+    with (run_dir / "summary.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
     assert [r["generation"] for r in rows] == ["0"]
     assert rows[0]["best_fitness"] == repr(float(want.fitness))
 
@@ -412,6 +413,23 @@ def test_cmd_replay_missing_transcript(tmp_path):
     (run_dir / "transcript.jsonl").unlink()
     (tmp_path / "transcript.jsonl").unlink()
     assert main(["replay", str(run_dir)]) == 2
+
+
+def test_replay_whose_transcript_lost_a_kind_is_one_line_and_exit_2(tmp_path, capsys):
+    """A replay the scripted provider cannot answer is an unusable input (exit 2),
+    not a divergence (exit 1)."""
+    cfg_path = write_run_config(tmp_path, three_gen_transcript())
+    assert main(["run", str(cfg_path)]) == 0
+    run_dir = single_run_dir(tmp_path)
+    transcript = run_dir / "transcript.jsonl"
+    lines = transcript.read_text().splitlines()
+    kept = [line for line in lines if json.loads(line)["kind"] != "initialization"]
+    assert 0 < len(kept) < len(lines)
+    transcript.write_text("\n".join(kept) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: provider error [transcript-miss]") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("line, message", MALFORMED_TRANSCRIPT_LINES)

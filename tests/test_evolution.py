@@ -1090,13 +1090,13 @@ def test_no_worker_outlives_a_killed_run(tmp_path):
     each dies (a zombie until reaped) with the thread that forked it."""
     src = os.path.dirname(os.path.dirname(evolution.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.Popen([sys.executable, "-c", _KILLED_RUN], cwd=tmp_path, env=env,
-                           stdout=subprocess.PIPE, text=True)
-    try:
-        workers = [int(pid) for pid in run.stdout.readline().split()]
-    finally:
-        run.kill()
-        run.wait(WAIT_S)
+    with subprocess.Popen([sys.executable, "-c", _KILLED_RUN], cwd=tmp_path, env=env,
+                          stdout=subprocess.PIPE, text=True) as run:
+        try:
+            workers = [int(pid) for pid in run.stdout.readline().split()]
+        finally:
+            run.kill()
+            run.wait(WAIT_S)
     assert len(workers) == evolution.SIM_WORKERS
 
     def running(pid: int) -> bool:

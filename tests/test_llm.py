@@ -354,6 +354,7 @@ def local_server():
     _Handler.hits = 0
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 def http_config(base_url, **kw):
@@ -436,6 +437,7 @@ def rate_limited_server():
     _RateLimitHandler.hits = 0
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
     thread.join(timeout=10)
 
 
