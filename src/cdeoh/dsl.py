@@ -13,8 +13,8 @@ treat NaN priorities as "never pick this option").
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Mapping, NamedTuple, Union
 
@@ -109,15 +109,16 @@ Expr = Union[Const, Name, Unary, Binary, Call, Where, Reduce]
 class Program:
     """A parsed candidate; immutable, safe to evaluate from many threads.
 
-    `parse` compiles it; a Program built directly is compiled when it is
-    first evaluated.  The compiled form takes no part in equality or repr.
+    `parse` checks its kinds; a Program built directly is checked when it is
+    first evaluated.  Its code is generated on its first `bind` or
+    `evaluate`.  Neither takes part in equality or repr.
     """
 
     source: str
     bindings: tuple[tuple[str, Expr], ...]
     result: Expr
     arity: tuple[tuple[str, Kind], ...]
-    _compiled: "_Compiled | None" = field(default=None, init=False, repr=False, compare=False)
+    _analysis: "_Analysis | None" = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,7 @@ _FUNC_ARITY.update({name: 1 for name in REDUCTIONS})
 _FUNC_ARITY["where"] = 3
 
 
-MAX_NESTING_DEPTH = 120  # bounds parser, compiler and closure recursion
+MAX_NESTING_DEPTH = 120  # bounds parser, analysis and code-generator recursion
 
 
 class _Parser:
@@ -284,7 +285,7 @@ class _Parser:
             arity=tuple(self.inputs.items()),
         )
         try:
-            _compiled(program)
+            _analysis(program)
         except _KindError as e:
             raise ParseError(e.message, self.source, self.call_offsets[id(e.node)]) from None
         return program
@@ -450,44 +451,36 @@ def pretty_print(program: Program) -> str:
 
 
 # --------------------------------------------------------------------------
-# Kind inference and compilation
+# Kind inference and code generation
 # --------------------------------------------------------------------------
 #
-# Every program is compiled once into nested closures over numpy ufuncs.
 # Kinds are static: an expression is a vector iff one of its operands is,
-# and a reduction of a scalar is rejected when the program is compiled.
-# All vector inputs of one call share one length, and every vector
-# expression is elementwise over them, so every vector in a call has that
-# length and the closures need no kind or length checks of their own.
-# The closures run with IEEE errors ignored: their caller enters
-# `np.errstate(all="ignore")`, once per call (`evaluate`) or once around
-# many calls (the simulators, after `bind`).
+# and a reduction of a scalar is rejected when the program is analysed
+# (by `parse`, or at the first use of a Program built directly).  All vector
+# inputs of one call share one length, and every vector expression is
+# elementwise over them, so every vector in a call has that length and the
+# generated code needs no kind or length checks of its own.
+#
+# The first `bind` or `evaluate` of a program, once its checks pass,
+# generates one straight-line Python function `run(env)`, with one
+# assignment per node.  Its text is built only from the fixed templates
+# below and generated local names: `t<i>` for values, `b<i>` for bound ones.
+# Every input key and constant of the program is a bound value, so no
+# identifier or literal of the program is ever read as Python, and `let`
+# values are locals.  A scalar subtree that reads no name is folded:
+# computed once, by the function its template compiles to.  A scalar
+# operation is a Python operator on float64 scalars, which gives the same
+# IEEE value as the ufunc.  A vector operation is a ufunc call, and takes its
+# constants as 0-d arrays.  The elementwise functions are ufunc calls
+# for both kinds, because numpy's SIMD loops need not match libm bit for
+# bit.  A comparison that is a `where` condition is used as truth values,
+# never as a 0/1 mask; NaN compares false either way.  The code runs with
+# IEEE errors ignored: its caller enters `np.errstate(all="ignore")`, once
+# per call (`evaluate`) or once around many calls (the simulators, after
+# `bind`).
 
 _Scalar = np.float64
 _NAN = _Scalar(np.nan)
-
-_ARITH_IMPL = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
-
-_CMP_IMPL = {
-    "<": np.less,
-    "<=": np.less_equal,
-    ">": np.greater,
-    ">=": np.greater_equal,
-    "==": np.equal,
-    "!=": np.not_equal,
-}
-
-_ELEMENTWISE_IMPL = {
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "log": np.log,
-    "exp": np.exp,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "min": np.minimum,
-    "max": np.maximum,
-    "pow": np.power,
-}
 
 
 def _mean(v: np.ndarray):
@@ -495,13 +488,41 @@ def _mean(v: np.ndarray):
     return np.add.reduce(v) / n if n else _NAN
 
 
-_REDUCTION_IMPL = {
-    "sum": np.add.reduce,
-    "mean": _mean,
-    "minval": np.minimum.reduce,
-    "maxval": np.maximum.reduce,
-    "len": lambda v: _Scalar(v.shape[0]),
+def _len(v: np.ndarray):
+    return _Scalar(v.shape[0])
+
+
+# The globals of every generated function: its only names besides its own.
+_GLOBALS = {
+    "__builtins__": {},
+    "_one": _Scalar(1.0), "_zero": _Scalar(0.0), "_f64": np.float64,
+    "_where": np.where,
+    "_neg": np.negative, "_add": np.add, "_sub": np.subtract, "_mul": np.multiply,
+    "_div": np.divide, "_lt": np.less, "_le": np.less_equal, "_gt": np.greater,
+    "_ge": np.greater_equal, "_eq": np.equal, "_ne": np.not_equal,
+    "_abs": np.abs, "_sqrt": np.sqrt, "_log": np.log, "_exp": np.exp,
+    "_floor": np.floor, "_ceil": np.ceil,
+    "_min": np.minimum, "_max": np.maximum, "_pow": np.power,
+    "_sum": np.add.reduce, "_mean": _mean, "_minval": np.minimum.reduce,
+    "_maxval": np.maximum.reduce, "_len": _len,
 }
+
+# Templates over operand references {0}, {1}, ...: the builtins are calls for
+# both kinds; the operators go by the kind of the result.  On two float64
+# scalars a Python operator is 15 times faster than a ufunc call; on short
+# arrays a ufunc call is 10% faster than the operator.  A comparison's
+# template gives truth values.
+_BUILTIN_TEMPLATES = {**{f: f"_{f}({{0}})" for f in ELEMENTWISE_UNARY + REDUCTIONS},
+                      **{f: f"_{f}({{0}}, {{1}})" for f in ELEMENTWISE_BINARY}}
+_BINARY_UFUNCS = {"+": "_add", "-": "_sub", "*": "_mul", "/": "_div", "<": "_lt", "<=": "_le",
+                  ">": "_gt", ">=": "_ge", "==": "_eq", "!=": "_ne"}
+_TEMPLATES = {
+    "scalar": {"neg": "-{0}", **{op: f"{{0}} {op} {{1}}" for op in _BINARY_UFUNCS}},
+    "vector": {"neg": "_neg({0})", **{op: f"{f}({{0}}, {{1}})" for op, f in _BINARY_UFUNCS.items()}},
+}
+# A comparison's truth values as a 0/1 mask, and `where` over truth values.
+_MASK = {"scalar": "_one if {} else _zero", "vector": "{}.astype(_f64)"}
+_SELECT = {"scalar": "{1} if {0} else {2}", "vector": "_where({0}, {1}, {2})"}
 
 # Reductions with no value on an empty vector.
 _NEEDS_NONEMPTY = ("minval", "maxval")
@@ -516,100 +537,192 @@ class _KindError(Exception):
         super().__init__(self.message)
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    run: Callable[[dict], object]  # env (input values) -> result
+@dataclass
+class _Analysis:
     kind: Kind
     input_names: frozenset[str]
     reads: frozenset[str]          # the declared inputs some Name node reads
     n_nodes: int                   # nodes visited per call: each node once
     empty_error: str | None        # the error of a call whose vectors are empty
-
-
-class _Compiler:
-    def __init__(self, arity: tuple[tuple[str, Kind], ...]):
-        self.kinds: dict[str, Kind] = dict(arity)
-        self.inputs = frozenset(self.kinds)
-        self.reads: set[str] = set()
-        self.n_nodes = 0
-        self.empty_error: str | None = None
-
-    def compile(self, e: Expr) -> tuple[Callable[[dict], object], Kind]:
-        self.n_nodes += 1
-        if isinstance(e, Const):
-            c = _Scalar(e.value)
-            return (lambda env: c), "scalar"
-        if isinstance(e, Name):
-            if e.ident in self.inputs:  # bindings cannot shadow inputs
-                self.reads.add(e.ident)
-            return operator.itemgetter(e.ident), self.kinds[e.ident]
-        if isinstance(e, Unary):
-            a, kind = self.compile(e.operand)
-            neg = np.negative
-            return (lambda env: neg(a(env))), kind
-        if isinstance(e, Binary):
-            (a, ka), (b, kb) = self.compile(e.left), self.compile(e.right)
-            kind = _join(ka, kb)
-            if e.op in _ARITH_IMPL:
-                f = _ARITH_IMPL[e.op]
-                return (lambda env: f(a(env), b(env))), kind
-            f = _CMP_IMPL[e.op]
-            if kind == "vector":
-                return (lambda env: f(a(env), b(env)).astype(np.float64)), kind
-            return (lambda env: _Scalar(f(a(env), b(env)))), kind
-        if isinstance(e, Call):
-            f = _ELEMENTWISE_IMPL[e.func]
-            if len(e.args) == 1:
-                a, kind = self.compile(e.args[0])
-                return (lambda env: f(a(env))), kind
-            (a, ka), (b, kb) = self.compile(e.args[0]), self.compile(e.args[1])
-            return (lambda env: f(a(env), b(env))), _join(ka, kb)
-        if isinstance(e, Where):
-            (c, kc), (a, ka), (b, kb) = (self.compile(e.cond), self.compile(e.then),
-                                         self.compile(e.other))
-            kind = _join(kc, ka, kb)
-            if kind == "scalar":
-                return (lambda env: a(env) if c(env) != 0.0 else b(env)), kind
-            where, not_equal = np.where, np.not_equal
-            return (lambda env: where(not_equal(c(env), 0.0), a(env), b(env))), kind
-        if isinstance(e, Reduce):
-            a, kind = self.compile(e.arg)
-            if kind != "vector":
-                raise _KindError(e)
-            if e.func in _NEEDS_NONEMPTY and self.empty_error is None:
-                self.empty_error = f"{e.func}() of an empty vector"
-            f = _REDUCTION_IMPL[e.func]
-            return (lambda env: f(a(env))), "scalar"
-        raise TypeError(f"not an Expr: {e!r}")
-
-    def program(self, program: Program) -> _Compiled:
-        steps = []
-        for name, expr in program.bindings:
-            fn, self.kinds[name] = self.compile(expr)
-            steps.append((name, fn))
-        result, kind = self.compile(program.result)
-        if steps:
-            def run(env, steps=tuple(steps), result=result):
-                for name, fn in steps:
-                    env[name] = fn(env)
-                return result(env)
-        else:
-            run = result
-        return _Compiled(run, kind, self.inputs, frozenset(self.reads), self.n_nodes,
-                         self.empty_error)
+    run: Callable[[dict], object] | None = None  # env -> result, generated on first use
 
 
 def _join(*kinds: Kind) -> Kind:
     return "vector" if "vector" in kinds else "scalar"
 
 
-def _compiled(program: Program) -> _Compiled:
-    """The compiled form of `program`, built on first use; raises _KindError."""
-    compiled = program._compiled
-    if compiled is None:
-        compiled = _Compiler(program.arity).program(program)
-        object.__setattr__(program, "_compiled", compiled)
-    return compiled
+def _analyze(program: Program) -> _Analysis:
+    """Kinds, reads, node count and empty-vector error; raises _KindError."""
+    kinds: dict[str, Kind] = dict(program.arity)
+    inputs = frozenset(kinds)
+    reads: set[str] = set()
+    n_nodes = 0
+    empty_error = None
+
+    def kind_of(e: Expr) -> Kind:
+        nonlocal n_nodes, empty_error
+        n_nodes += 1
+        if isinstance(e, Const):
+            return "scalar"
+        if isinstance(e, Name):
+            if e.ident in inputs:  # bindings cannot shadow inputs
+                reads.add(e.ident)
+            return kinds[e.ident]
+        if isinstance(e, Unary):
+            return kind_of(e.operand)
+        if isinstance(e, Binary):
+            return _join(kind_of(e.left), kind_of(e.right))
+        if isinstance(e, Call):
+            return _join(*[kind_of(a) for a in e.args])
+        if isinstance(e, Where):
+            return _join(kind_of(e.cond), kind_of(e.then), kind_of(e.other))
+        if isinstance(e, Reduce):
+            if kind_of(e.arg) != "vector":
+                raise _KindError(e)
+            if e.func in _NEEDS_NONEMPTY and empty_error is None:
+                empty_error = f"{e.func}() of an empty vector"
+            return "scalar"
+        raise TypeError(f"not an Expr: {e!r}")
+
+    for name, expr in program.bindings:
+        kinds[name] = kind_of(expr)
+    kind = kind_of(program.result)
+    return _Analysis(kind, inputs, frozenset(reads), n_nodes, empty_error)
+
+
+def _analysis(program: Program) -> _Analysis:
+    """The analysis of `program`, made on first use; raises _KindError."""
+    analysis = program._analysis
+    if analysis is None:
+        analysis = _analyze(program)
+        object.__setattr__(program, "_analysis", analysis)
+    return analysis
+
+
+@functools.cache
+def _folder(template: str, n_operands: int) -> Callable:
+    """The function of its operands that `template` computes."""
+    operands = [f"_{i}" for i in range(n_operands)]
+    return eval(f"lambda {', '.join(operands)}: {template.format(*operands)}", _GLOBALS)
+
+
+def _array(constant: np.float64) -> np.ndarray:
+    value = np.array(constant)
+    value.flags.writeable = False
+    return value
+
+
+# An operand: the name of a value in the generated text, or a folded constant.
+_Operand = Union[str, np.float64]
+
+
+class _Generator:
+    """Generates the `run(env)` of one analysed program."""
+
+    def __init__(self, arity: tuple[tuple[str, Kind], ...]):
+        self.lines: list[str] = []
+        self.params: list[object] = []  # the value of each b<i>
+        self.inputs: dict[str, Kind] = dict(arity)
+        self.names: dict[str, tuple[_Operand, Kind]] = {}  # identifier -> its value
+
+    def param(self, value: object) -> str:
+        self.params.append(value)
+        return f"b{len(self.params) - 1}"
+
+    def assign(self, expression: str) -> str:
+        local = f"t{len(self.lines)}"
+        self.lines.append(f"{local} = {expression}")
+        return local
+
+    def ref(self, operand: _Operand) -> str:
+        return operand if isinstance(operand, str) else self.param(operand)
+
+    def operands(self, kind: Kind, *values: tuple[_Operand, Kind]) -> list[_Operand]:
+        """The operands of an operation whose result is of `kind`.  A vector
+        operation takes each constant as a 0-d array, which a ufunc takes a
+        third faster than a float64 scalar, with the same values."""
+        if kind == "scalar":
+            return [operand for operand, _ in values]
+        return [o if isinstance(o, str) else self.param(_array(o)) for o, _ in values]
+
+    def emit(self, template: str, operands: list[_Operand]) -> _Operand:
+        if not any(isinstance(o, str) for o in operands):
+            return _folder(template, len(operands))(*operands)
+        return self.assign(template.format(*map(self.ref, operands)))
+
+    def apply(self, template: str, kind: Kind,
+              *values: tuple[_Operand, Kind]) -> tuple[_Operand, Kind]:
+        return self.emit(template, self.operands(kind, *values)), kind
+
+    def name(self, ident: str) -> tuple[_Operand, Kind]:
+        if ident not in self.names:  # an input, read where it is first used
+            self.names[ident] = self.assign(f"env[{self.param(ident)}]"), self.inputs[ident]
+        return self.names[ident]
+
+    def value(self, e: Expr) -> tuple[_Operand, Kind]:
+        if isinstance(e, Const):
+            return _Scalar(e.value), "scalar"
+        if isinstance(e, Name):
+            return self.name(e.ident)
+        if isinstance(e, Unary):
+            a = self.value(e.operand)
+            return self.apply(_TEMPLATES[a[1]]["neg"], a[1], a)
+        if isinstance(e, Binary):
+            a, b = self.value(e.left), self.value(e.right)
+            kind = _join(a[1], b[1])
+            template = _TEMPLATES[kind][e.op]
+            if e.op in CMP_OPS:
+                template = _MASK[kind].format(template)
+            return self.apply(template, kind, a, b)
+        if isinstance(e, Call):
+            args = [self.value(a) for a in e.args]
+            return self.apply(_BUILTIN_TEMPLATES[e.func], _join(*[k for _, k in args]), *args)
+        if isinstance(e, Where):
+            return self.where(e)
+        if isinstance(e, Reduce):
+            return self.emit(_BUILTIN_TEMPLATES[e.func], [self.value(e.arg)[0]]), "scalar"
+        raise TypeError(f"not an Expr: {e!r}")
+
+    def where(self, e: Where) -> tuple[_Operand, Kind]:
+        cond, op, kc = self.condition(e.cond)
+        then, other = self.value(e.then), self.value(e.other)
+        kind = _join(kc, then[1], other[1])
+        if op is None and kind == "vector":  # the truth values of `cond != 0`
+            cond, op = cond + ((_Scalar(0.0), "scalar"),), "!="
+        truth = "{0}" if op is None else _TEMPLATES[kc][op]
+        n = len(cond)
+        template = _SELECT[kind].format(truth, f"{{{n}}}", f"{{{n + 1}}}")
+        return self.emit(template, self.operands(kc, *cond) + self.operands(kind, then, other)), kind
+
+    def condition(self, c: Expr) -> tuple[tuple[tuple[_Operand, Kind], ...], str | None, Kind]:
+        """The operands, comparison operator and kind of a `where` condition.  A
+        comparison that does not fold is used as truth values; any other
+        condition is one operand, with no operator."""
+        if isinstance(c, Binary) and c.op in CMP_OPS:
+            x, y = self.value(c.left), self.value(c.right)
+            if isinstance(x[0], str) or isinstance(y[0], str):
+                return (x, y), c.op, _join(x[1], y[1])
+        value = self.value(c)  # a comparison of constants folds to its mask
+        return (value,), None, value[1]
+
+    def function(self, program: Program) -> Callable[[dict], object]:
+        with np.errstate(all="ignore"):
+            for name, expr in program.bindings:
+                self.names[name] = self.value(expr)
+            result = self.ref(self.value(program.result)[0])
+        params = ", ".join(f"b{i}" for i in range(len(self.params)))
+        body = "".join(f"        {line}\n" for line in self.lines)
+        text = f"def make({params}):\n    def run(env):\n{body}        return {result}\n    return run\n"
+        return _maker(text)(*self.params)
+
+
+@functools.lru_cache(maxsize=256)
+def _maker(text: str) -> Callable:
+    """The function that `text` defines.  Programs that differ only in their
+    identifiers and constants have the same text, so they compile it once."""
+    namespace: dict[str, object] = {}
+    exec(compile(text, "<cdeoh.dsl program>", "exec"), _GLOBALS, namespace)
+    return namespace["make"]
 
 
 # --------------------------------------------------------------------------
@@ -634,17 +747,16 @@ def _coerce_input(name: str, kind: Kind, raw):
     return arr
 
 
-def _checked(program: Program, inputs: Mapping[str, object]) -> tuple[_Compiled, dict]:
-    """The compiled program and its env of coerced inputs, after every check
-    `evaluate` makes before it runs a program; raises its EvalError."""
-    compiled = program._compiled
-    if compiled is None:  # a Program built without parse()
-        try:
-            compiled = _compiled(program)
-        except _KindError as e:
-            raise EvalError("kind-mismatch", e.message) from None
+def _checked(program: Program, inputs: Mapping[str, object]) -> tuple[_Analysis, dict]:
+    """The analysed program, with its code generated, and its env of coerced
+    inputs, after every check `evaluate` makes before it runs a program;
+    raises its EvalError before any code is generated."""
+    try:
+        analysis = _analysis(program)
+    except _KindError as e:  # a Program built without parse()
+        raise EvalError("kind-mismatch", e.message) from None
     for name in inputs:
-        if name not in compiled.input_names:
+        if name not in analysis.input_names:
             raise EvalError("kind-mismatch", f"unexpected input {name!r} (not declared)")
     env: dict[str, object] = {}
     length, first = -1, ""
@@ -659,12 +771,14 @@ def _checked(program: Program, inputs: Mapping[str, object]) -> tuple[_Compiled,
                 raise EvalError("length-mismatch", f"vector inputs differ in length:"
                                 f" {first!r} has {length}, {name!r} has {raw.shape[0]}")
             length, first = raw.shape[0], name
-    if compiled.n_nodes > MAX_PROGRAM_NODES:
-        raise EvalError("limit-exceeded", f"program has {compiled.n_nodes} nodes; node-visit budget"
+    if analysis.n_nodes > MAX_PROGRAM_NODES:
+        raise EvalError("limit-exceeded", f"program has {analysis.n_nodes} nodes; node-visit budget"
                         f" {MAX_PROGRAM_NODES} exhausted")
-    if length == 0 and compiled.empty_error is not None:
-        raise EvalError("length-mismatch", compiled.empty_error)
-    return compiled, env
+    if length == 0 and analysis.empty_error is not None:
+        raise EvalError("length-mismatch", analysis.empty_error)
+    if analysis.run is None:
+        analysis.run = _Generator(program.arity).function(program)
+    return analysis, env
 
 
 def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
@@ -677,10 +791,10 @@ def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
     node/vector budget (MAX_PROGRAM_NODES, MAX_VECTOR_LENGTH); never raises
     on non-finite arithmetic, which follows IEEE semantics instead.
     """
-    compiled, env = _checked(program, inputs)
+    analysis, env = _checked(program, inputs)
     with np.errstate(all="ignore"):
-        out = compiled.run(env)
-    if compiled.kind == "vector":
+        out = analysis.run(env)
+    if analysis.kind == "vector":
         return Value("vector", out)
     return Value("scalar", float(out))
 
@@ -688,7 +802,7 @@ def evaluate(program: Program, inputs: Mapping[str, object]) -> Value:
 class Bound(NamedTuple):
     """A program checked once for many calls of one input signature (`bind`)."""
 
-    run: Callable[[dict], object]  # env -> result, as `evaluate` computes it
+    run: Callable[[dict], object]  # the generated env -> result, as `evaluate` computes it
     kind: Kind                     # the kind of every result
     reads: frozenset[str]          # the declared inputs `run` reads from env
 
@@ -699,16 +813,16 @@ def bind(program: Program, signature: Mapping[str, Kind], length: int) -> Bound:
 
     Makes every check `evaluate` makes on such a call and raises the same
     EvalError; a call whose vectors are 1 to `length` long passes them all.
-    `run(env)` then computes what `evaluate` would on such inputs.  Its env
-    holds only the inputs in `reads`, as float64 scalars and float64 1-d
-    arrays, and gains the program's `let` values.  Call it inside
-    `np.errstate(all="ignore")`; the result is a float64 array for a vector
-    kind and a float64 scalar otherwise.
+    `run(env)`, the program's generated function, then computes what
+    `evaluate` would on such inputs.  Its env holds only the inputs in
+    `reads`, as float64 scalars and float64 1-d arrays, and is not changed.
+    Call it inside `np.errstate(all="ignore")`; the result is a float64 array
+    for a vector kind and a float64 scalar otherwise.
     """
     probe = {name: _Scalar(0.0) if kind == "scalar" else np.empty(length)
              for name, kind in signature.items()}
-    compiled, _ = _checked(program, probe)
-    return Bound(compiled.run, compiled.kind, compiled.reads)
+    analysis, _ = _checked(program, probe)
+    return Bound(analysis.run, analysis.kind, analysis.reads)
 
 
 # --------------------------------------------------------------------------

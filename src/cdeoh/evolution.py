@@ -337,7 +337,7 @@ def _start_worker(suite: BenchmarkSuite, engine_pid: int) -> None:
 def _simulate(index: int, code: str) -> problems.EvalReport | str:
     """Instance `index` of the worker's suite under the program `code`, which
     parses: its EvalReport or CandidateFailure text.  The code is sent, not the
-    tree, because a bound tree's closures do not pickle."""
+    tree, because a tree's generated function does not pickle."""
     program = dsl.parse(code, problems.input_signature(_worker_suite.task))
     try:
         return problems.simulate_instance(_worker_suite, index, program)

@@ -232,8 +232,9 @@ def _martello_toth_l2(instance: ObpInstance) -> int:
 # --------------------------------------------------------------------------
 
 def _bind(program: Program, signature: Mapping[str, dsl.Kind], length: int, over: str):
-    """`dsl.bind` for a simulator: its closure and the inputs it reads, or
-    the CandidateFailure an evaluate call of that length would end in."""
+    """`dsl.bind` for a simulator: the program's generated function and the
+    inputs it reads, or the CandidateFailure an evaluate call of that length
+    would end in."""
     try:
         run, kind, reads = bind(program, signature, length)
     except EvalError as e:
@@ -242,6 +243,17 @@ def _bind(program: Program, signature: Mapping[str, dsl.Kind], length: int, over
         raise CandidateFailure(
             f"priority function must return a vector over the {over}, got a scalar")
     return run, reads
+
+
+def _first_max(prio: np.ndarray) -> tuple[int, np.float64]:
+    """The index and value of the first maximum of `prio`, where NaN counts as -inf."""
+    best = prio.argmax()  # the first NaN, if there is one
+    top = prio[best]
+    if top != top:
+        prio = np.fmax(prio, -np.inf)
+        best = prio.argmax()
+        top = prio[best]
+    return int(best), top
 
 
 def pack_online(instance: ObpInstance, program: Program) -> list[int]:
@@ -254,12 +266,12 @@ def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     # Items and loads per open bin are float64, so the program inputs need no
     # conversion.  They are integers <= capacity, so every value stays exact.
     remaining = np.empty(n, dtype=np.float64)
-    bin_index = np.arange(n, dtype=np.float64)
     n_open = 0
+    live = remaining[:n_open]  # the open bins
     checked = 0  # calls with up to this many feasible bins pass `bind`'s checks
     with np.errstate(all="ignore"):
         for item in np.asarray(instance.items, dtype=np.float64):
-            feasible = (remaining[:n_open] >= item).nonzero()[0]
+            feasible = (live >= item).nonzero()[0]
             k = feasible.size
             place_at = -1
             if k > 0:
@@ -270,19 +282,20 @@ def pack_online(instance: ObpInstance, program: Program) -> list[int]:
                 if "item" in reads:
                     env["item"] = item
                 if "cap_remaining" in reads:
-                    env["cap_remaining"] = remaining[feasible]
+                    env["cap_remaining"] = live[feasible]
                 if "bin_index" in reads:
-                    env["bin_index"] = bin_index[feasible]
-                prio = np.fmax(run(env), -np.inf)  # NaN never wins
-                best = int(prio.argmax())  # first max <=> lowest bin_index
-                if prio[best] != -np.inf:
+                    env["bin_index"] = feasible.astype(np.float64)
+                best, top = _first_max(run(env))  # first max <=> lowest bin_index
+                if top != -np.inf:
                     place_at = int(feasible[best])
             if place_at < 0:
                 place_at = n_open
                 remaining[place_at] = cap
                 n_open += 1
-            remaining[place_at] -= item
-            assert remaining[place_at] >= 0, "bin overfilled"
+                live = remaining[:n_open]
+            left = remaining[place_at] - item
+            assert left >= 0, "bin overfilled"
+            remaining[place_at] = left
     loads = cap - remaining[:n_open]
     return [int(x) for x in loads]
 
@@ -419,34 +432,39 @@ def construct_tour(instance: TspInstance, program: Program) -> list[int]:
     run, reads = _bind(program, TSP_INPUTS, n - 1, "unvisited cities")
     # The unvisited cities in increasing order, u[:m].  A program that reads
     # mean_dist_remaining also gets their distances among each other,
-    # sub[:m, :m] == d[np.ix_(u[:m], u[:m])].  Picking a city shifts the
-    # later rows, then the later columns, up by one, so the order is kept and
-    # each row of the live block sums exactly as a fresh gather would.
+    # sub[:m, :m] == d[np.ix_(u[:m], u[:m])].  Picking a city copies the four
+    # blocks around its row and column into the same places of a second
+    # buffer, less one row and column, and the buffers swap.  The order is
+    # kept, and each row of the live block sums exactly as a fresh gather would.
     u = np.arange(1, n, dtype=np.int64)
     means = "mean_dist_remaining" in reads
     sub = d[1:, 1:].copy() if means else None
+    spare = np.empty_like(sub) if means else None
     tour = [0]
     cur = 0
     with np.errstate(all="ignore"):
         for m in range(n - 1, 0, -1):
             env = {}
+            # A gather from a row view is faster than one with a row index.
             if "dist_to_current" in reads:
-                env["dist_to_current"] = d[cur, u[:m]]
+                env["dist_to_current"] = d[cur][u[:m]]
             if "dist_to_start" in reads:
-                env["dist_to_start"] = d[0, u[:m]]
+                env["dist_to_start"] = d[0][u[:m]]
             if means:
                 env["mean_dist_remaining"] = (sub[:m, :m].sum(axis=1) / (m - 1) if m > 1
                                               else np.zeros(1))
             if "visited_fraction" in reads:
                 env["visited_fraction"] = np.float64((n - m) / n)
-            prio = np.fmax(run(env), -np.inf)  # NaN never wins
-            pick = int(prio.argmax())  # first max <=> lowest city index; all -inf picks 0
+            pick, _ = _first_max(run(env))  # first max <=> lowest city index; all -inf picks 0
             cur = int(u[pick])
             tour.append(cur)
             u[pick:m - 1] = u[pick + 1:m]
             if means:
-                sub[pick:m - 1, :m] = sub[pick + 1:m, :m]
-                sub[:m - 1, pick:m - 1] = sub[:m - 1, pick + 1:m]
+                spare[:pick, :pick] = sub[:pick, :pick]
+                spare[:pick, pick:m - 1] = sub[:pick, pick + 1:m]
+                spare[pick:m - 1, :pick] = sub[pick + 1:m, :pick]
+                spare[pick:m - 1, pick:m - 1] = sub[pick + 1:m, pick + 1:m]
+                sub, spare = spare, sub
     assert sorted(tour) == list(range(n)), "tour is not a permutation"
     return tour
 

@@ -236,7 +236,7 @@ def names_read(program) -> set[str]:
 
 def reference_evaluate(program, inputs):
     """Tree-walking interpreter of a cdeoh.dsl Program: the differential oracle
-    of the compiled evaluator.
+    of the code that dsl.evaluate generates.
 
     Walks the tree node by node, checks the kinds and vector lengths of every
     operand where it is used, and raises EvalError with the same kinds as

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,7 +184,7 @@ def test_reduction_of_scalar_rejected():
 
 
 def test_reduction_of_scalar_in_unparsed_program_is_a_kind_mismatch():
-    # A Program built without parse() is compiled on its first evaluation.
+    # A Program built without parse() is analysed on its first evaluation.
     p = Program("", (), dsl.Reduce("sum", Name("a")), (("a", "scalar"),))
     with pytest.raises(EvalError) as ei:
         evaluate(p, {"a": 1.0})
@@ -260,7 +261,9 @@ _RT_SIG = {"s": "scalar", "v": "vector"}
 
 
 def _exprs(scope: tuple[str, ...]):
+    # 0 and inf make folded constants NaN and +-inf (0 / 0, inf - inf, 1 / 0)
     leaves = st.one_of(
+        st.sampled_from((0.0, math.inf)).map(Const),
         st.floats(min_value=0.0, max_value=1e6, allow_nan=False).map(Const),
         st.sampled_from(scope).map(Name),
     )
@@ -316,7 +319,7 @@ def test_round_trip_pretty_print(p):
     assert q.bindings == p.bindings
     assert q.result == p.result
     assert q.arity == p.arity
-    assert q == p and repr(q) == repr(p)  # the compiled form is not part of either
+    assert q == p and repr(q) == repr(p)  # the analysis and code are not part of either
 
 
 _SPECIAL_FLOATS = (0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3.0, 1e300, -1e-300,
@@ -343,11 +346,16 @@ def test_compiled_evaluate_matches_reference_interpreter(p, s, v, v_as_list):
         assert expected.kind == "kind-mismatch" or (not v and expected.kind == "length-mismatch")
         return
     assert not (isinstance(expected, EvalError) and expected.kind == "kind-mismatch")
-    try:
-        got = evaluate(p, args)  # p was built directly: compiled on first use
-    except EvalError as e:
-        assert isinstance(expected, EvalError), e
-        assert e.kind == expected.kind
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = evaluate(p, args)  # p was built directly: code generated on first use
+        except EvalError as e:
+            got = e
+    assert not caught, [str(w.message) for w in caught]  # folds ignore IEEE errors too
+    if isinstance(got, EvalError):
+        assert isinstance(expected, EvalError), got
+        assert got.kind == expected.kind
         return
     assert not isinstance(expected, EvalError), expected
     assert got.kind == expected.kind
@@ -426,3 +434,101 @@ def test_sandbox_node_budget_bounds_any_parsed_program(monkeypatch):
     with pytest.raises(EvalError) as ei:
         evaluate(p, {})
     assert ei.value.kind == "limit-exceeded"
+
+
+# ---------------------------------------------------------------- code generation
+
+# Names the DSL accepts that Python would reject or merge (`True`, `x²`,
+# NFKC folds `ﬁ` into `fi`), names of Python and of the generated code's own
+# locals, globals and parameters.
+_HOSTILE_NAMES = ("True", "None", "lambda", "env", "np", "x²", "ﬁ", "fi",
+                  "t0", "t1", "b0", "b1", "_one", "_where", "_f64", "make", "run", "__builtins__")
+
+_NAMED_PROGRAM = (
+    "let {0} = v * 2 + s; let {1} = {0} - 1; let {2} = where(({0} > {1}), {0}, s);"
+    " let {3} = 0.5; let {4} = 3; let {5} = {3} - {4}; let {6} = mean({2}) + {5};"
+    " let {7} = where(({6} < 1), {1}, {2}); let {8} = -{7} / {5}; let {9} = ({8} >= s);"
+    " let {10} = max({9}, {8}); let {11} = len(v) * {4}; let {12} = pow({10}, 2) + {11};"
+    " let {13} = exp({3}); let {14} = where({9}, {12}, {13}); let {15} = sum({14}) / {11};"
+    " let {16} = {14} - {15}; let {17} = {16} * {3} + {0};"
+    " return {17} + minval({17}) - {4} * {3}"
+)
+
+
+@pytest.mark.parametrize("s, v", [(1.5, [0.0, 2.0, -3.0]), (-2.0, [1e300, math.inf, math.nan]),
+                                  (0.0, [-0.0])])
+def test_generated_code_keeps_program_names_apart(s, v):
+    assert len(_HOSTILE_NAMES) == _NAMED_PROGRAM.count("let ")
+    neutral = parse(_NAMED_PROGRAM.format(*(f"n{i}" for i in range(18))), _RT_SIG)
+    hostile = parse(_NAMED_PROGRAM.format(*_HOSTILE_NAMES), _RT_SIG)
+    for args in ({"s": s, "v": v}, {"s": s, "v": np.array(v)}):
+        want = evaluate(neutral, args)
+        got = evaluate(hostile, args)
+        assert got.kind == want.kind == "vector"
+        assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_generated_code_tells_the_ligature_from_its_letters():
+    sig = {"ﬁ": "scalar", "fi": "scalar"}
+    assert evaluate(parse("return ﬁ - fi", sig), {"ﬁ": 5.0, "fi": 2.0}).data == 3.0
+    p = parse("let x² = 4; let True = x² / 2; return True - x² + fi - ﬁ", sig)
+    assert evaluate(p, {"ﬁ": 5.0, "fi": 2.0}).data == -5.0
+
+
+def test_generated_code_holds_no_identifier_or_constant_of_the_program():
+    sig = {"speed": "vector", "weight": "scalar"}
+    src = ("let slack_term = speed * 12345.5 - weight; let ﬁ = 0.625 * (7.25 - 1.5);"
+           " let x² = where((slack_term > ﬁ), slack_term, 98.75); return x² / weight + ﬁ")
+    run = dsl.bind(parse(src, sig), sig, 4).run
+    code = run.__code__
+    names = code.co_names + code.co_varnames + code.co_freevars + code.co_cellvars
+    for ident in ("speed", "weight", "slack_term", "ﬁ", "x²"):
+        assert ident not in names
+    assert not any(isinstance(c, (str, float, np.floating)) for c in code.co_consts)
+    # the constants are bound values; 0.625 * (7.25 - 1.5) is folded into one
+    bound = [c.cell_contents for c in run.__closure__]
+    folded = np.float64(0.625) * (np.float64(7.25) - np.float64(1.5))
+    assert any(isinstance(c, (np.ndarray, np.float64)) and np.asarray(c).tobytes() == folded.tobytes()
+               for c in bound)
+    with np.errstate(all="ignore"):
+        out = run({"speed": np.array([1.0, 0.0]), "weight": np.float64(2.0)})
+    assert out.tolist() == [(12345.5 - 2.0) / 2.0 + folded, 98.75 / 2.0 + folded]
+
+
+def _count_generation(monkeypatch) -> list[int]:
+    calls = []
+    real = dsl._Generator.function
+
+    def counting(self, program):
+        calls.append(1)
+        return real(self, program)
+
+    monkeypatch.setattr(dsl._Generator, "function", counting)
+    return calls
+
+
+def test_parse_generates_no_code(monkeypatch):
+    calls = _count_generation(monkeypatch)
+    sources = dsl.GRAMMAR_EXAMPLE_PROGRAMS + (
+        "let s = cap_remaining - item; return where((s < 5), 400 - s, 0 - s)",)
+    programs = [parse(src, OBP_SIG) for src in sources]
+    assert calls == []
+    assert all(p._analysis.run is None for p in programs)
+    args = {"item": 3.0, "cap_remaining": [4.0, 9.0], "bin_index": [0.0, 1.0]}
+    for p in programs:
+        evaluate(p, args)
+        evaluate(p, args)
+    assert len(calls) == len(programs)  # once per program, on its first use
+
+
+def test_node_budget_fails_before_any_code_is_generated(monkeypatch):
+    calls = _count_generation(monkeypatch)
+    monkeypatch.setattr(dsl, "MAX_PROGRAM_NODES", 3)
+    p = parse("return -(cap_remaining - item)", OBP_SIG)
+    with pytest.raises(EvalError) as ei:
+        dsl.bind(p, OBP_SIG, 2)
+    assert ei.value.kind == "limit-exceeded"
+    with pytest.raises(EvalError) as ei:
+        evaluate(p, {"item": 1.0, "cap_remaining": [2.0], "bin_index": [0.0]})
+    assert ei.value.kind == "limit-exceeded"
+    assert calls == [] and p._analysis.run is None

@@ -350,10 +350,19 @@ def test_tsp_wrong_shape():
         simulate_tsp(inst, compile_tsp("return visited_fraction"))
 
 
+TOUR_NAN_PROGRAMS = (
+    "let d = dist_to_current; return where((d == maxval(d)), log(0 - d), d)",
+    "let d = dist_to_current; return where((d > minval(d)), log(0 - d), 0 - d)",
+    "return dist_to_current * (0 / 0)",
+    "let z = visited_fraction / (visited_fraction - visited_fraction); return dist_to_current * z",
+)
+
 # Programs for the differential property: nearest neighbour, users of
 # mean_dist_remaining, where/threshold rules, constant priorities (all
-# ties), partly and wholly NaN priorities, quasi-random picks and a scalar
-# result (a CandidateFailure at the first step).
+# ties), partly and wholly NaN priorities (NaN at the first max, after the
+# max, everywhere, and a folded 0 / 0), a scalar division by zero,
+# quasi-random picks and a scalar result (a CandidateFailure at the first
+# step).
 TOUR_PROGRAMS = (
     problems.NEAREST_NEIGHBOR_PROGRAM,
     "return dist_to_current",
@@ -368,6 +377,7 @@ TOUR_PROGRAMS = (
     "return log(dist_to_current - mean_dist_remaining)",
     "return log(0 - dist_to_current)",
     "return dist_to_current * 1000 - floor(dist_to_current * 1000)",
+    *TOUR_NAN_PROGRAMS,
     "return visited_fraction",
 )
 
@@ -490,11 +500,19 @@ def test_construct_tour_all_ties_keeps_city_order():
     assert construct_tour(inst, compile_tsp("return log(0 - dist_to_current)")) == list(range(12))
 
 
+PACK_NAN_PROGRAMS = (
+    "return where((cap_remaining == maxval(cap_remaining)), log(0 - item), cap_remaining)",
+    "return where((bin_index > 1), log(0 - item), cap_remaining)",
+    "return cap_remaining * (0 / 0)",
+    "let z = item / (item - item); return cap_remaining * z",
+)
+
 # Programs for the OBP differential property: best, first and worst fit,
-# all ties and partial ties, partly NaN, all NaN, partly and wholly -inf,
-# quasi-random picks, readers and non-readers of bin_index (one reads it
-# only in an unused binding) and a scalar result (a CandidateFailure at the
-# first call).
+# all ties and partial ties, partly NaN (at the first max and after the
+# max), all NaN (also by a folded 0 / 0), partly and wholly -inf, a scalar
+# division by zero, quasi-random picks, readers and non-readers of
+# bin_index (one reads it only in an unused binding) and a scalar result (a
+# CandidateFailure at the first call).
 PACK_PROGRAMS = (
     problems.BEST_FIT_PROGRAM,
     problems.FIRST_FIT_PROGRAM,
@@ -508,6 +526,7 @@ PACK_PROGRAMS = (
     "return 0 * bin_index - 1e400",
     "return bin_index * 7919 - floor(bin_index * 7919 / 13) * 13",
     "let unused = bin_index; return 0 - cap_remaining",
+    *PACK_NAN_PROGRAMS,
     "return item",
 )
 
@@ -521,6 +540,45 @@ PACK_PROGRAMS = (
 def test_pack_online_matches_reference(cap, items, src):
     inst = ObpInstance(capacity=cap, items=tuple(min(x, cap) for x in items))
     assert_matches_reference(pack_online, reference_pack_online, inst, compile_obp(src))
+
+
+@pytest.mark.parametrize("task, src", [("obp", src) for src in PACK_NAN_PROGRAMS]
+                         + [("tsp", src) for src in TOUR_NAN_PROGRAMS])
+def test_nan_and_division_by_zero_priorities_match_the_oracle(task, src):
+    build, reference, _ = _SIMULATORS[task]
+    if task == "obp":
+        instance, program = gen_obp(3, 300, 100), compile_obp(src)
+    else:
+        instance, program = gen_tsp(3, 40), compile_tsp(src)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, _ = assert_matches_reference(build, reference, instance, program)
+    assert not caught, [str(w.message) for w in caught]
+    assert not isinstance(got, str), got
+
+
+# The same program with neutral binding names and with names that Python
+# rejects or merges, or that the generated code uses itself.
+_NAMED_SIMULATOR_PROGRAMS = {
+    "obp": "let {0} = cap_remaining - item; let {1} = 0.5; let {2} = 2; let {3} = {1} * {2};"
+           " let {4} = where(({0} < {2}), {3} - {0}, 0 - {0}); return {4} - bin_index / {2}",
+    "tsp": "let {0} = dist_to_current; let {1} = 0.5; let {2} = 2; let {3} = {1} * {2};"
+           " let {4} = 0 - {0} - {3} * visited_fraction * dist_to_start;"
+           " return {4} + {1} * mean_dist_remaining / {2}",
+}
+
+
+@pytest.mark.parametrize("task", ["obp", "tsp"])
+def test_simulators_keep_program_names_apart(task):
+    build, reference, _ = _SIMULATORS[task]
+    instance = gen_obp(4, 200, 100) if task == "obp" else gen_tsp(4, 30)
+    src = _NAMED_SIMULATOR_PROGRAMS[task]
+    compile_ = compile_obp if task == "obp" else compile_tsp
+    neutral = compile_(src.format("a", "b", "c", "d", "e"))
+    hostile = compile_(src.format("True", "ﬁ", "fi", "lambda", "t0"))
+    want = build(instance, neutral)
+    assert build(instance, hostile) == want
+    assert assert_matches_reference(build, reference, instance, hostile)[0] == want
 
 
 def test_pack_online_calls_no_program_without_a_feasible_bin():
