@@ -264,7 +264,7 @@ class _Parser:
             name = name_tok.text
             if name in self.inputs:
                 self._fail(f"binding {name!r} shadows a declared input", name_tok)
-            if any(name == b for b, _ in bindings):
+            if name in self.scope:  # the inputs and the bindings so far
                 self._fail(f"duplicate binding {name!r}", name_tok)
             self._expect_op("=")
             expr = self.parse_top_expr()

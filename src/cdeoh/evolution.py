@@ -16,7 +16,7 @@ import math
 import os
 import time
 from collections import Counter, deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -292,10 +292,11 @@ def select_next_generation(candidates: Sequence[Candidate],
 # --------------------------------------------------------------------------
 
 # Threads of a run's call pool, and requests of a wave sent ahead of the one
-# being committed.  The pool also makes the category calls and the prefetched
-# reflection calls, so at most this many calls run on it; the caller's thread
-# makes at most one more.  At 8, prefetched reflections waited in the pool's
-# queue behind a generation's calls (2N = 20 at the default population).
+# being committed.  While the provider is slow, the pool makes every call: the
+# wave's requests, the category calls and each reflection attempt, sent ahead
+# or not.  At 8, reflections sent ahead waited in the pool's queue behind a
+# generation's calls (2N = 20 at the default population); 32 gained llm-latency
+# at most 6% and cost tsp-evolve peak memory.
 MAX_IN_FLIGHT = 16
 
 # A call goes to the pool only after the provider's last call took this long;
@@ -383,6 +384,13 @@ class _Request:
     parsed: tuple[str, str, str | ParseError] | ParseFailure | None = None
 
 
+def _next_failure(failure: tuple[str, str, str], attempt: _Request,
+                  outcome: tuple[str, str, str]) -> tuple[str, str, str]:
+    """What the next reflection prompt on `failure` shows once `attempt` failed
+    with `outcome`: a response that does not parse keeps the last program."""
+    return (*failure[:2], outcome[2]) if isinstance(attempt.parsed, ParseFailure) else outcome
+
+
 class EvolutionEngine:
     """The loop, with the provider calls of each wave in flight together.
 
@@ -397,8 +405,8 @@ class EvolutionEngine:
     `_wave` keeps the `MAX_IN_FLIGHT` requests after the one it commits in
     flight on a pool of as many threads (16).  It commits the responses on
     the caller's thread in plan order: it logs the sample, reads the
-    request's outcome, runs a failure's reflection chain on the caller's
-    thread and sends a success's category call.  Events wait in `_queue`
+    request's outcome, runs a failure's reflection chain one attempt after
+    another and sends a success's category call.  Events wait in `_queue`
     behind the first candidate whose label has not arrived, so the event
     stream is that of a run that makes one call at a time.  Requests past the
     point where the sample budget runs out are never committed: up to 16 may
@@ -406,21 +414,23 @@ class EvolutionEngine:
     provider answers within `POOL_MIN_S`, each call is made on the caller's
     thread when it is sent, which changes only where it runs.
 
-    While the provider is slow, `_prefetch` also sends ahead the first
-    reflection request of each request in the window that has already
-    failed, rendered as a run making one call at a time would render it if
-    every chain before it took one attempt.  Each attempt of `_reflect` is
-    the request sent ahead with its exact prompt, else one made at once, so
-    the events cannot change; a wrong guess is a dropped call, which no
-    event records.
+    While the provider is slow, `_prefetch` also sends reflection requests
+    ahead.  It walks the window as a run making one call at a time would,
+    and for each request that has failed sends the attempt that run would
+    make next, attempt k + 1 once attempt k has failed.  Each attempt of
+    `_reflect` is the request sent ahead with its exact prompt, else one sent
+    then, so the events cannot change; a wrong guess is a dropped call, which
+    no event records.  Where the caller must wait, for a committed response,
+    a simulation or a reflection attempt, `_wait` parses each response of
+    the window as it arrives and walks again.
 
     Candidates are simulated on `SIM_WORKERS` forked worker processes (one
     per CPU, at most `MAX_IN_FLIGHT`), one task per (program, instance).
-    Before each commit the caller parses every response of the window that
-    has arrived and sends the simulations of each tree not yet scored, so
-    the workers score ahead of the commits; the commit reads the results in
-    instance order.  Scores are pure functions of the tree, so where and
-    when they are computed changes no event.
+    Before each commit, and in `_wait`, the caller parses every response of
+    the window that has arrived and sends the simulations of each tree not
+    yet scored, so the workers score ahead of the commits; the commit reads
+    the results in instance order.  Scores are pure functions of the tree,
+    so where and when they are computed changes no event.
     """
 
     def __init__(self, config: EvolutionConfig, provider, suite: BenchmarkSuite,
@@ -451,7 +461,9 @@ class EvolutionEngine:
         self._pool: ThreadPoolExecutor | None = None  # open inside `run` and `initialize`
         self._sims = None  # the ProcessPoolExecutor of the simulations, open with `_pool`
         self._slow = False  # the provider's last call took POOL_MIN_S or more
-        # The reflection requests `_prefetch` sent in the current wave, by prompt.
+        # The requests in flight after the one `_wave` commits, and the
+        # reflection requests `_prefetch` sent in the current wave, by prompt.
+        self._window: deque[_Request] = deque()
         self._prefetched: dict[str, _Request] = {}
 
     # ------------------------------------------------------------- plumbing
@@ -573,8 +585,7 @@ class EvolutionEngine:
         self._drain()
         self._known_labels = tuple(sorted(self.state.category_counts))
         requests = self._send(plan)
-        window = deque(itertools.islice(requests, MAX_IN_FLIGHT))
-        reflects = self.config.enable_reflection and self.config.reflection_budget > 0
+        window = self._window = deque(itertools.islice(requests, MAX_IN_FLIGHT))
         ids: list[int] = []
         try:
             while window and not self._budget_spent():
@@ -582,14 +593,15 @@ class EvolutionEngine:
                 window.extend(itertools.islice(requests, 1))
                 for arrived in (request, *window):  # score ahead, in plan order
                     self._arrived(arrived)
-                if reflects and self._slow:
-                    self._prefetch((request, *window))
+                if self._slow:
+                    self._prefetch((request, *window), self._samples)
                 candidate_id = self._commit(request, generation)
                 if candidate_id is not None:
                     ids.append(candidate_id)
         finally:
             for request in (*window, *self._prefetched.values()):
                 request.response.cancel()  # never committed or used; dropped if it has started
+            window.clear()
             self._prefetched.clear()
         return ids
 
@@ -636,38 +648,47 @@ class EvolutionEngine:
         return ctx, llm.render_prompt(PromptKind.REFLECTION, ctx,
                                       self.provider.config.max_prompt_bytes)
 
-    def _prefetch(self, requests: Sequence[_Request]) -> None:
-        """Send ahead the first reflection call of each failed request of
-        `requests`, the window from the one about to be committed in plan order,
-        unless a call with its prompt was sent in this wave already.
+    def _prefetch(self, requests: Iterable[_Request], samples: int) -> None:
+        """Send ahead the reflection calls of the failed requests of `requests`,
+        requests of the window in plan order that a run making one call at a
+        time would commit from sample `samples` + 1 on; a call whose prompt was
+        sent in this wave already is not sent again.
 
-        The walk counts samples and reflection calls as a run making one call
-        at a time would.  It stops at a response that has not arrived, at a
-        first reflection that has arrived and failed (the chain's length is
-        then unknown) and where the sample budget would be spent.  A program
-        still being simulated counts as a success, and a chain whose first
-        reflection has not arrived as repaired by it.
+        The walk counts samples and reflection calls as that run would.  It
+        follows each chain as `_reflect` does: attempt k + 1 is rendered from
+        attempt k's outcome once that has arrived and failed, and a chain whose
+        attempts all failed counts `reflection_budget` samples.  It stops at a
+        response that has not arrived or raised and where the sample budget
+        would be spent.  A program still being simulated counts as a success,
+        and a chain whose latest attempt has not arrived as repaired by it.
         """
-        samples, index = self._samples, self._sampled[PromptKind.REFLECTION.value]
+        cfg = self.config
+        if not cfg.enable_reflection:
+            return
+        index = self._sampled[PromptKind.REFLECTION.value]
         for request in requests:
-            if samples >= self.config.max_samples or not self._arrived(request):
+            if samples >= cfg.max_samples or not self._arrived(request):
                 return
             samples += 1
             failure = self._failure(request)
-            if failure is None:
-                continue
-            if samples >= self.config.max_samples:
-                return
-            samples += 1
-            ctx, prompt = self._reflection_prompt(failure, samples, index)
-            index += 1
-            attempt = self._prefetched.get(prompt)
-            if attempt is None:
-                attempt = self._prefetched[prompt] = self._request(
-                    self._pool.submit, PromptKind.REFLECTION, request.parent_id, ctx, prompt)
-            if attempt.response.done() and (not self._arrived(attempt)
-                                            or self._failure(attempt) is not None):
-                return
+            for _ in range(cfg.reflection_budget if failure is not None else 0):
+                if samples >= cfg.max_samples:
+                    return
+                samples += 1
+                ctx, prompt = self._reflection_prompt(failure, samples, index)
+                index += 1
+                attempt = self._prefetched.get(prompt)
+                if attempt is None:
+                    attempt = self._prefetched[prompt] = self._request(
+                        self._pool.submit, PromptKind.REFLECTION, request.parent_id, ctx, prompt)
+                if not attempt.response.done():
+                    break
+                if not self._arrived(attempt):
+                    return
+                outcome = self._failure(attempt)
+                if outcome is None:
+                    break
+                failure = _next_failure(failure, attempt, outcome)
 
     def _arrived(self, request: _Request) -> bool:
         """Whether the response of `request` has arrived without an error; if so,
@@ -676,6 +697,28 @@ class EvolutionEngine:
         if request.parsed is None and response.done() and response.exception() is None:
             self._parse(request)
         return request.parsed is not None
+
+    def _wait(self, future: Future | _Made, unlogged: int = 0):
+        """`future.result()`, waiting as long as it takes.
+
+        While the provider is slow and `future` is pending, the caller parses
+        the window's responses that have arrived and runs the walk of
+        `_prefetch` from the window, after the request being committed: that
+        request, whose `unlogged` samples are still to be logged, counts as a
+        success, or its chain as repaired by the attempt in flight.  Then it
+        waits for `future` or for any response of the window or of the
+        reflections sent ahead that was not done before the walk, and walks
+        again.
+        """
+        while self._slow and not future.done():
+            seen = {r.response for r in (*self._window, *self._prefetched.values())
+                    if r.response.done()}
+            for request in self._window:
+                self._arrived(request)
+            self._prefetch(self._window, self._samples + unlogged)
+            wait([future, *(r.response for r in (*self._window, *self._prefetched.values())
+                            if r.response not in seen)], return_when=FIRST_COMPLETED)
+        return future.result()
 
     def _failure(self, request: _Request) -> tuple[str, str, str] | None:
         """The outcome of the arrived `request` if it failed, or None if its
@@ -688,7 +731,7 @@ class EvolutionEngine:
         simulations."""
         if request.parsed is None:
             try:
-                thought, code = llm.parse_generation(request.response.result())
+                thought, code = llm.parse_generation(self._wait(request.response))
             except ParseFailure as e:
                 request.parsed = e
             else:
@@ -719,7 +762,7 @@ class EvolutionEngine:
             for simulation in score:
                 if not (wait or simulation.done() and simulation.exception() is None):
                     return None
-                result = simulation.result()
+                result = self._wait(simulation)
                 if isinstance(result, str):
                     for later in score:
                         later.cancel()
@@ -751,7 +794,7 @@ class EvolutionEngine:
         candidate id or None.  A ProviderError of the call is raised after its
         `sample` event is logged."""
         try:
-            request.response.result()
+            self._wait(request.response, unlogged=1)
         finally:
             self._log_sample(request.kind, request.parent_id, generation)
         outcome = self._outcome(request, wait=True)
@@ -787,10 +830,10 @@ class EvolutionEngine:
 
     def _reflect(self, failure: tuple[str, str, str], parent_id: int | None,
                  generation: int) -> int | None:
-        """The reflection chain of `failure` (thought, code, error), on the
-        caller's thread: each attempt's index and prompt depend on the outcome
-        of the one before.  An attempt is the request prefetched with its
-        prompt, else one made now; a ProviderError of either is raised."""
+        """The reflection chain of `failure` (thought, code, error): each
+        attempt's index and prompt depend on the outcome of the one before.  An
+        attempt is the request sent ahead with its prompt, else one sent now by
+        `_call`; a ProviderError of either is raised."""
         budget_b = self.config.reflection_budget
         step = {"generation": generation, "parent_id": parent_id}
         if not self.config.enable_reflection or budget_b < 1:
@@ -805,19 +848,16 @@ class EvolutionEngine:
             ctx, prompt = self._reflection_prompt(
                 failure, self._samples, self._sampled[PromptKind.REFLECTION.value] - 1)
             request = self._prefetched.get(prompt) or self._request(
-                _Made, PromptKind.REFLECTION, parent_id, ctx, prompt)
+                self._call, PromptKind.REFLECTION, parent_id, ctx, prompt)
             outcome = self._outcome(request, wait=True)
-            if isinstance(request.parsed, ParseFailure):
-                # logged as no evaluation; the next prompt still shows the last program
-                failure = (*failure[:2], outcome[2])
-            else:
-                failure = outcome
+            if not isinstance(request.parsed, ParseFailure):  # else logged as no evaluation
                 candidate_id = self._attempt(outcome, PromptKind.REFLECTION, parent_id,
                                              generation, reflection_attempts=attempt)
                 if candidate_id is not None:
                     self._log("reflection", **step, attempt=attempt, outcome="repaired",
                               candidate_id=candidate_id)
                     return candidate_id
+            failure = _next_failure(failure, request, outcome)
             self._log("reflection", **step, attempt=attempt, outcome="failed", error=failure[2])
         self._log("reflection", **step, attempt=budget_b, outcome="abandoned", error=failure[2])
         return None

@@ -679,6 +679,8 @@ class ThreadedProvider(ScriptedProvider):
         # (kind, index, prompt, seed, temperature) of each call, in the order made
         self.calls: list[tuple[str, int, str, int, float | None]] = []
         self.pool_calls: list[tuple[str, int]] = []  # (kind, index) of each call made on the pool
+        # ("start" or "end", kind, call index, variation seed) of each call, in order
+        self.order: list[tuple[str, str, int, int]] = []
         self.thread_names: set[str] = set()
         self.in_flight: list[tuple[str, bool]] = []  # (kind, made on the pool) per call
         self.max_in_flight = self.max_on_pool = 0
@@ -694,6 +696,7 @@ class ThreadedProvider(ScriptedProvider):
             self.max_in_flight = max(self.max_in_flight, len(self.in_flight))
             self.max_on_pool = max(self.max_on_pool, sum(pool for _, pool in self.in_flight))
             self.calls.append((kind.value, index, prompt, seed, temperature))
+            self.order.append(("start", kind.value, index, seed))
             if call[1]:
                 self.pool_calls.append((kind.value, index))
             self.thread_names.add(threading.current_thread().name)
@@ -710,6 +713,12 @@ class ThreadedProvider(ScriptedProvider):
         finally:
             with self._lock:
                 self.in_flight.remove(call)
+                self.order.append(("end", kind.value, index, seed))
+
+    def started_before_end(self, call: tuple[str, int, int], other: tuple[str, int, int]) -> bool:
+        """Whether the call `call` (kind, call index, variation seed) started
+        before the call `other` returned."""
+        return self.order.index(("start", *call)) < self.order.index(("end", *other))
 
 
 def uncommitted_calls(events, serial: ThreadedProvider, delayed: ThreadedProvider) -> list:
@@ -883,17 +892,19 @@ def test_budget_spent_mid_wave_on_an_exact_length_transcript_ends_normally(
     assert want[-1][0] == "generation-summary" and want[-1][1]["cumulative_samples"] == 12
 
 
-def two_failures_transcript() -> TranscriptBuilder:
+def two_failures_transcript(b_reflections=(BROKEN_CODE_RESPONSE, ladder_response(1))
+                            ) -> TranscriptBuilder:
     """A population of 2 whose generation 1 plans A, B, C, D: B fails and is
-    repaired by its second reflection, C fails and is repaired by its first.
-    Every entry is used by a run of 100 samples and reflection budget 2."""
+    repaired by the last of `b_reflections`, C fails and is repaired by its
+    first.  Every entry is used by a run of 100 samples and a reflection
+    budget of len(b_reflections)."""
     tb = TranscriptBuilder()
     tb.add_many("initialization", [ladder_response(3), ladder_response(4)])
     tb.add("refinement", ladder_response(2))  # A
     tb.add("innovation", BROKEN_CODE_RESPONSE)  # B
     tb.add("refinement", BROKEN_CODE_RESPONSE)  # C
     tb.add("innovation", ladder_response(0))  # D
-    tb.add_many("reflection", [BROKEN_CODE_RESPONSE, ladder_response(1), ladder_response(5)])
+    tb.add_many("reflection", [*b_reflections, ladder_response(5)])
     tb.add_many("category-induction", ["greedy", "balance", "greedy", "x", "y", "threshold"])
     return tb
 
@@ -902,10 +913,10 @@ TWO_FAILURES_CONFIG = dict(population_size=2, elite_categories=2, max_generation
                            reflection_budget=2, max_samples=100)
 
 # Calls by (kind, index, variation seed).  A and B's first reflection are slow,
-# so the walk before B's commit finds B and C failed while B's reflection is in
-# flight.  It counts B's chain as one call and sends C's first reflection as
-# call 1 at seed 7; a run making one call at a time sends it as call 2 at seed
-# 8, after B's second reflection (call 1, seed 6).
+# so the walk made while the caller waits for A finds B and C failed while B's
+# reflection is in flight.  It counts B's chain as one call and sends C's first
+# reflection as call 1 at seed 7; a run making one call at a time sends it as
+# call 2 at seed 8, after B's second reflection (call 1, seed 6).
 A_CALL, B_FIRST_REFLECTION, C_GUESS = ("refinement", 0, 2), ("reflection", 0, 5), ("reflection", 1, 7)
 SLOW_CALLS = {A_CALL: 0.06, B_FIRST_REFLECTION: 0.06}
 
@@ -929,6 +940,27 @@ def cli_run(run_dir, monkeypatch, capsys, provider, evolution_config: dict) -> d
             "best.json": best.read_text() if best.exists() else None}
 
 
+def serial_and_delayed_runs(tmp_path, monkeypatch, capsys, tb: TranscriptBuilder, cfg: dict,
+                            delays: dict, exact: bool = False):
+    """`cli_run` of `tb` at MAX_IN_FLIGHT 1 on an instant provider, and at the
+    default on one that waits `delays` (2 * POOL_MIN_S for other calls) and,
+    if `exact`, answers only the prompts of the first run; checked equal.  The
+    first run's result and events, the second provider and the calls it was
+    sent that its run did not commit."""
+    path = tb.write(tmp_path / "t.jsonl")
+    default = evolution.MAX_IN_FLIGHT
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
+    serial = ThreadedProvider(path)
+    want = cli_run(tmp_path / "serial", monkeypatch, capsys, serial, cfg)
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", default)
+    answers = {prompt for _, _, prompt, *_ in serial.calls} if exact else None
+    delayed = ThreadedProvider(path, delay_s=2 * evolution.POOL_MIN_S, delays=delays,
+                               answers=answers)
+    assert cli_run(tmp_path / "delayed", monkeypatch, capsys, delayed, cfg) == want
+    events = [(e["event"], e["payload"]) for e in want["events"]]
+    return want, events, delayed, uncommitted_calls(events, serial, delayed)
+
+
 PREFETCH_CASES = {
     # C's guess is dropped, and C's first reflection is sent again when it is known
     "wrong-guess": {},
@@ -948,19 +980,9 @@ def test_wrongly_guessed_or_failing_prefetches_leave_the_run_of_one_call_at_a_ti
     opts = PREFETCH_CASES[case]
     tb = two_failures_transcript()
     tb.entries = [e for e in tb.entries if e[:2] != opts.get("missing")]
-    path = tb.write(tmp_path / "t.jsonl")
     cfg = {**TWO_FAILURES_CONFIG, "max_samples": opts.get("max_samples", 100)}
-    default = evolution.MAX_IN_FLIGHT
-    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
-    serial = ThreadedProvider(path)
-    want = cli_run(tmp_path / "serial", monkeypatch, capsys, serial, cfg)
-    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", default)
-    answers = {prompt for _, _, prompt, *_ in serial.calls} if opts.get("exact") else None
-    delayed = ThreadedProvider(path, delay_s=2 * evolution.POOL_MIN_S, delays=SLOW_CALLS,
-                               answers=answers)
-    assert cli_run(tmp_path / "delayed", monkeypatch, capsys, delayed, cfg) == want
-    events = [(e["event"], e["payload"]) for e in want["events"]]
-    extra = uncommitted_calls(events, serial, delayed)
+    want, events, delayed, extra = serial_and_delayed_runs(
+        tmp_path, monkeypatch, capsys, tb, cfg, SLOW_CALLS, opts.get("exact", False))
     guesses = [(kind, index, seed) for kind, index, _, seed, _ in extra if kind == "reflection"]
     if case != "budget-4":  # B's chain ends before its first reflection there
         assert ("reflection", 0) in delayed.pool_calls  # B's first reflection was prefetched
@@ -974,6 +996,84 @@ def test_wrongly_guessed_or_failing_prefetches_leave_the_run_of_one_call_at_a_ti
         assert "no transcript entry for kind='reflection' index=0" in want["error"]
     else:
         assert events[-1][1]["cumulative_samples"] == opts["max_samples"]
+
+
+# B's first reflection fails, its second gives no code (so the third prompt
+# still shows the first one's program) and its third repairs: samples 5, 6 and 7 at seeds 5, 6
+# and 7.  C is sample 8 and its reflection, call 3, sample 9.
+DEEP_CHAIN_CASES = {
+    "deep-chain": {},
+    # C's guesses miss a provider that answers only the prompts of a serial run
+    "deep-chain-exact-prompts": {"exact": True},
+    # the budget runs out inside B's chain (5, 6), at its repair (7), at C (8)
+    # and at C's repair (9)
+    **{f"deep-chain-budget-{n}": {"max_samples": n} for n in range(5, 10)},
+}
+
+
+@pytest.mark.parametrize("case", DEEP_CHAIN_CASES)
+def test_reflection_chains_are_sent_ahead_attempt_by_attempt(tmp_path, monkeypatch, capsys,
+                                                             case):
+    """While the caller waits for A's slow response, each of B's attempts is
+    sent as soon as the one before it has failed; the run stays that of one
+    call at a time."""
+    opts = DEEP_CHAIN_CASES[case]
+    tb = two_failures_transcript(b_reflections=(BROKEN_CODE_RESPONSE, NO_CODE_RESPONSE,
+                                                ladder_response(1)))
+    cfg = {**TWO_FAILURES_CONFIG, "reflection_budget": 3,
+           "max_samples": opts.get("max_samples", 100)}
+    want, events, delayed, extra = serial_and_delayed_runs(
+        tmp_path, monkeypatch, capsys, tb, cfg, {A_CALL: 0.3}, opts.get("exact", False))
+    assert want["exit"] == 0 and want["best.json"] is not None
+    reflections = [p for e, p in events if e == "reflection"]
+    b_attempts = min(3, cfg["max_samples"] - 4)
+    assert [p["outcome"] for p in reflections[:b_attempts]] == [
+        "failed", "failed", "repaired"][:b_attempts]
+    for attempt in range(b_attempts):
+        call = ("reflection", attempt, 5 + attempt)
+        assert ("reflection", attempt) in delayed.pool_calls
+        assert delayed.started_before_end(call, A_CALL), call
+    # besides the requests past the budget, only guesses of C's reflection made
+    # before B's chain was known
+    guesses = {(kind, index) for kind, index, *_ in extra if kind == "reflection"}
+    assert guesses <= {("reflection", 1), ("reflection", 2)}
+
+
+def test_arrivals_are_served_while_the_caller_waits(tmp_path, monkeypatch):
+    """A fails and its reflection is slow; C's response arrives only while the
+    caller waits for that reflection.  C's first reflection is sent before A's
+    reflection returns, so before A's chain is committed."""
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [ladder_response(3), ladder_response(4)])
+    tb.add("refinement", BROKEN_CODE_RESPONSE)  # A
+    tb.add("innovation", ladder_response(2))  # B
+    tb.add("refinement", BROKEN_CODE_RESPONSE)  # C
+    tb.add("innovation", ladder_response(0))  # D
+    tb.add_many("reflection", [ladder_response(1), ladder_response(5)])
+    tb.add_many("category-induction", ["greedy", "balance", "greedy", "x", "y", "threshold"])
+    path = tb.write(tmp_path / "t.jsonl")
+    cfg = config(**TWO_FAILURES_CONFIG)
+    # samples: A 3, A's reflection 4, B 5, C 6 and C's reflection 7
+    a_reflection, c_call, c_reflection = ("reflection", 0, 4), ("refinement", 1, 4), ("reflection", 1, 7)
+    monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", 1)
+    want = logged_run(ThreadedProvider(path), cfg)
+    monkeypatch.undo()
+    delayed = ThreadedProvider(path, delay_s=2 * evolution.POOL_MIN_S,
+                               delays={a_reflection: 0.5, c_call: 0.1})
+    assert logged_run(delayed, cfg) == want
+    # C arrived after A's reflection was sent, so only a walk made in the wait can see it
+    assert delayed.order.index(("start", *a_reflection)) < delayed.order.index(("end", *c_call))
+    assert delayed.started_before_end(c_reflection, a_reflection)
+
+
+def test_the_caller_sleeps_while_it_waits(tmp_path):
+    """No busy wait: with every call taking 30 ms, the caller's thread is on a
+    CPU for under a fifth of the run."""
+    provider = ThreadedProvider(mixed_transcript().write(tmp_path / "t.jsonl"), delay_s=0.03)
+    wall, cpu = time.perf_counter(), time.thread_time()
+    logged_run(provider, mixed_config())
+    wall, cpu = time.perf_counter() - wall, time.thread_time() - cpu
+    assert cpu < 0.2 * wall, (cpu, wall)
 
 
 def test_instant_provider_makes_every_category_call_on_the_callers_thread(tmp_path,
