@@ -11,6 +11,7 @@ the rest.
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import math
 import os
@@ -335,11 +336,22 @@ def _start_worker(suite: BenchmarkSuite, engine_pid: int) -> None:
     _worker_suite = suite
 
 
+# The engine sends a program's tasks one after another, so a worker needs
+# only its latest few programs.
+@functools.lru_cache(maxsize=MAX_IN_FLIGHT)
+def _program(code: str, task: str) -> dsl.Program:
+    """The worker's parsed program of `code`: parsed once, and its function
+    generated on its first instance, for all the instances of the suite."""
+    return dsl.parse(code, problems.input_signature(task))
+
+
 def _simulate(index: int, code: str) -> problems.EvalReport | str:
     """Instance `index` of the worker's suite under the program `code`, which
     parses: its EvalReport or CandidateFailure text.  The code is sent, not the
-    tree, because a tree's generated function does not pickle."""
-    program = dsl.parse(code, problems.input_signature(_worker_suite.task))
+    tree, because a tree's generated function does not pickle; each worker
+    parses each text once (`_program`), since the engine sends one task per
+    instance of each program."""
+    program = _program(code, _worker_suite.task)
     try:
         return problems.simulate_instance(_worker_suite, index, program)
     except CandidateFailure as e:

@@ -389,30 +389,47 @@ def nearest_neighbor_tour(instance: TspInstance) -> list[int]:
 
 
 def two_opt(instance: TspInstance, tour: Sequence[int]) -> list[int]:
-    """First-improvement 2-opt with a fixed lexicographic scan order."""
+    """First-improvement 2-opt: while some move shortens the tour by more than
+    `1e-10 * min(1, longest distance)`, reverse positions i..j of the first
+    such move (i, j), 1 <= i < j, in row-major order.  Its gain is
+    `((d[p,x] + d[y,q]) - d[p,y]) - d[x,q]` for p, y = t[i-1], t[i] and
+    x, q = t[j], t[j+1], t[n] being t[0].
+
+    The improving moves are kept as a mask.  A reversal of i..j changes only
+    the gains of rows i..j+1 and columns i-1..j, so only those are computed
+    again, from `w`, the distances in tour order, whose rows and columns are
+    reversed with the tour.  Each gain has the bits of a full recomputation
+    (`tests/oracles.py` keeps one), so the tours are the same."""
     d = instance.dist
     t = np.asarray(tour, dtype=np.int64)
     n = t.shape[0]
     if n < 4:
         return [int(x) for x in t]
-    eps = 1e-10
-    i_all, j_all = np.triu_indices(n, k=1)
-    keep = i_all >= 1  # i=0 moves duplicate (j+1, n-1) pairs
-    i_idx, j_idx = i_all[keep], j_all[keep]
-    order = np.arange(n)
+    eps = 1e-10 * min(1.0, float(d.max()))  # relative, so the tour does not depend on the units
+    w = np.empty((n, n + 1))  # w[a, b] = d[t[a], t[b]]; column n repeats column 0
+    w[:, :n] = d[t[:, None], t[None, :]]
+    w[:, n] = w[:, 0]
+    edge = np.diagonal(w, 1)  # a view: edge[b] = d[t[b], t[b+1]]
+    allowed = np.triu(np.ones((n, n), dtype=bool), 1)
+    allowed[0] = False  # an i = 0 move is the (j+1, n-1) move
+    improving = np.zeros((n, n), dtype=bool)
+
+    def recompute(rows: slice, cols: slice) -> None:
+        p, y = slice(rows.start - 1, rows.stop - 1), rows
+        x, q = cols, slice(cols.start + 1, cols.stop + 1)
+        gain = ((w[p, x] + w[y, q]) - edge[p, None]) - edge[None, x]
+        improving[rows, cols] = (gain < -eps) & allowed[rows, cols]
+
+    recompute(slice(1, n), slice(0, n))
     while True:
-        prev = t[order - 1]        # t[i-1]
-        nxt = t[(order + 1) % n]   # t[j+1]
-        # delta[i, j] for replacing edges (t[i-1],t[i]) and (t[j],t[j+1])
-        delta = (d[prev[:, None], t[None, :]] + d[t[:, None], nxt[None, :]]
-                 - d[prev, t][:, None] - d[t, nxt][None, :])
-        vals = delta[i_idx, j_idx]
-        improving = np.nonzero(vals < -eps)[0]
-        if improving.size == 0:
+        i, j = divmod(int(np.argmax(improving)), n)  # the first True, if any
+        if not improving[i, j]:
             return [int(x) for x in t]
-        first = improving[0]  # lexicographically first (i, j)
-        i, j = int(i_idx[first]), int(j_idx[first])
         t[i:j + 1] = t[i:j + 1][::-1]
+        w[i:j + 1] = w[i:j + 1][::-1]
+        w[:, i:j + 1] = w[:, i:j + 1][:, ::-1]
+        recompute(slice(i, min(j + 2, n)), slice(0, n))
+        recompute(slice(1, n), slice(i - 1, j + 1))
 
 
 def tsp_reference(instance: TspInstance) -> float:

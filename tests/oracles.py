@@ -199,6 +199,38 @@ def reference_construct_tour(instance, program) -> list[int]:
     return tour
 
 
+def reference_two_opt(instance, tour) -> list[int]:
+    """First-improvement 2-opt that computes every move's gain afresh after
+    each move: the differential oracle of problems.two_opt.
+
+    Same threshold, same gain expression and the same row-major choice of the
+    first improving (i, j), 1 <= i < j.
+    """
+    d = instance.dist
+    t = np.asarray(tour, dtype=np.int64)
+    n = t.shape[0]
+    if n < 4:
+        return [int(x) for x in t]
+    eps = 1e-10 * min(1.0, float(d.max()))
+    i_all, j_all = np.triu_indices(n, k=1)
+    keep = i_all >= 1  # i=0 moves duplicate (j+1, n-1) pairs
+    i_idx, j_idx = i_all[keep], j_all[keep]
+    order = np.arange(n)
+    while True:
+        prev = t[order - 1]        # t[i-1]
+        nxt = t[(order + 1) % n]   # t[j+1]
+        # delta[i, j] for replacing edges (t[i-1],t[i]) and (t[j],t[j+1])
+        delta = (d[prev[:, None], t[None, :]] + d[t[:, None], nxt[None, :]]
+                 - d[prev, t][:, None] - d[t, nxt][None, :])
+        vals = delta[i_idx, j_idx]
+        improving = np.nonzero(vals < -eps)[0]
+        if improving.size == 0:
+            return [int(x) for x in t]
+        first = improving[0]  # lexicographically first (i, j)
+        i, j = int(i_idx[first]), int(j_idx[first])
+        t[i:j + 1] = t[i:j + 1][::-1]
+
+
 def top_n_by_fitness(candidates, n: int):
     """Pure fitness ranking with ties to the lowest id."""
     return sorted(candidates, key=lambda c: (-c.fitness, c.id))[:n]

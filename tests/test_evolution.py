@@ -621,6 +621,36 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     assert sum("error" in p for p in evaluations) == 3
 
 
+@pytest.mark.parametrize("code", [ladder_program(1), "return item"])  # passes; CandidateFailure
+def test_worker_parses_each_program_once_for_all_its_instances(code, monkeypatch):
+    suite = problems.BenchmarkSuite("obp", (ladder_instance(), problems.gen_obp(1, 40, 50)),
+                                    ("ladder", "40C50"))
+    parse = dsl.parse
+    parsed = []
+
+    def recording_parse(code, inputs=None):
+        parsed.append(code)
+        return parse(code, inputs)
+
+    evolution._program.cache_clear()
+    monkeypatch.setattr(evolution, "_worker_suite", suite)  # as a worker after `_start_worker`
+    monkeypatch.setattr(dsl, "parse", recording_parse)
+    try:
+        results = [evolution._simulate(i, code) for _ in range(2) for i in (0, 1)]
+    finally:
+        evolution._program.cache_clear()
+    monkeypatch.undo()
+
+    assert parsed == [code]
+    for index, got in zip((0, 1, 0, 1), results):
+        try:
+            want = problems.simulate_instance(suite, index, parse(code, problems.OBP_INPUTS))
+        except CandidateFailure as e:
+            want = str(e)
+        assert got == want
+    assert isinstance(results[0], str) == (code == "return item")
+
+
 # ---------------------------------------------------------------- engine: concurrent waves
 
 WAIT_S = 5.0  # bounds every wait between two provider calls, so a serial engine fails, not hangs

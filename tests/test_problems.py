@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cdeoh import dsl, problems
@@ -39,6 +39,7 @@ from oracles import (
     nearest_neighbor_cycle_length,
     reference_construct_tour,
     reference_pack_online,
+    reference_two_opt,
     simple_best_fit,
     simple_first_fit,
 )
@@ -336,12 +337,43 @@ def test_tsp_instance_rejects_cities_without_a_finite_nonzero_tour(coords, messa
 
 
 def test_two_opt_never_worsens():
-    for seed in (1, 2):
-        inst = gen_tsp(seed, 40)
+    for seed, mode in ((1, "uniform"), (2, "uniform"), (1, "gaussian-mixture")):
+        inst = gen_tsp(seed, 40, mode)
         nn = nearest_neighbor_tour(inst)
         improved = two_opt(inst, nn)
         assert sorted(improved) == list(range(40))
         assert tour_length(inst, improved) <= tour_length(inst, nn) + 1e-9
+        # a full scan of every move (i, j), 1 <= i < j: none gains more than the threshold
+        d, t, n = inst.dist, improved, len(improved)
+        eps = 1e-10 * min(1.0, float(d.max()))
+        for i in range(1, n - 1):
+            for j in range(i + 1, n):
+                p, y, x, q = t[i - 1], t[i], t[j], t[(j + 1) % n]
+                assert ((d[p, x] + d[y, q]) - d[p, y]) - d[x, q] >= -eps
+
+
+@given(n=st.integers(4, 250), seed=st.integers(0, 10**6),
+       mode=st.sampled_from(["uniform", "gaussian-mixture"]))
+@example(n=500, seed=1, mode="uniform")
+@example(n=600, seed=2, mode="gaussian-mixture")
+@settings(max_examples=120, deadline=None)
+def test_two_opt_matches_full_recomputation_oracle(n, seed, mode):
+    inst = gen_tsp(seed, n, mode)
+    nn = nearest_neighbor_tour(inst)
+    assert two_opt(inst, nn) == reference_two_opt(inst, nn)
+
+
+def test_two_opt_tour_does_not_depend_on_coordinate_units():
+    # With an absolute threshold, at 1e-12 no move was taken and the
+    # reference was the nearest-neighbour tour.
+    coords = np.random.default_rng(0).random((60, 2))
+    tours = {}
+    for scale in (1.0, 1e6, 1e-9, 1e-12):
+        inst = TspInstance(coords * scale)
+        tours[scale] = two_opt(inst, nearest_neighbor_tour(inst))
+        assert tsp_reference(inst) / scale == pytest.approx(6.2467, abs=1e-4)
+    assert tours[1e6] == tours[1e-9] == tours[1e-12] == tours[1.0]
+    assert tours[1.0] != nearest_neighbor_tour(TspInstance(coords))
 
 
 def test_tsp_wrong_shape():
