@@ -349,24 +349,18 @@ def _setting_means(labels, gaps) -> dict[str, float]:
 def cmd_bench(args) -> int:
     suite = _suite_from_args(args)
     if suite.task == "obp":
-        baselines = {
-            "first-fit": lambda inst: problems.first_fit_bin_count(inst.items, inst.capacity),
-            "best-fit": lambda inst: problems.best_fit_bin_count(inst.items, inst.capacity),
-        }
-        reference = problems.obp_lower_bound
+        baselines = {"first-fit": problems.FIRST_FIT_PROGRAM, "best-fit": problems.BEST_FIT_PROGRAM}
     else:
-        baselines = {
-            "nearest-neighbor": lambda inst: problems.tour_length(
-                inst, problems.nearest_neighbor_tour(inst)),
-            "nn+2opt (reference)": lambda inst: problems.tsp_reference(inst),
-        }
-        reference = problems.tsp_reference
-
-    refs = [reference(inst) for inst in suite.instances]
-    rows = []
-    for name, run in baselines.items():
-        gaps = [100.0 * (run(inst) - ref) / ref for inst, ref in zip(suite.instances, refs)]
-        rows.append([name] + [f"{m:.4f}" for m in _setting_means(suite.labels, gaps).values()])
+        baselines = {"nearest-neighbor": problems.NEAREST_NEIGHBOR_PROGRAM}
+    signature = problems.input_signature(suite.task)
+    gaps = {}
+    for name, code in baselines.items():
+        report = problems.evaluate_candidate(suite, dsl.parse(code, signature))
+        gaps[name] = [r.gap_percent for r in report.per_instance]
+    if suite.task == "tsp":
+        gaps["nn+2opt (reference)"] = [0.0] * len(suite.instances)  # the reference's gap to itself
+    rows = [[name] + [f"{m:.4f}" for m in _setting_means(suite.labels, g).values()]
+            for name, g in gaps.items()]
     print(_format_table(["baseline"] + [f"{s} gap%" for s in dict.fromkeys(suite.labels)], rows))
     return 0
 

@@ -6,6 +6,10 @@ vector inputs: an optional chain of ``let`` bindings followed by a single
 touch anything outside the supplied inputs, so evaluating untrusted
 generated code is safe and always terminates.
 
+The front end is one regular expression that scans the source into tokens
+and a recursive-descent parser with one method per grammar rule; both
+report every error as a ParseError with its offset, line and column.
+
 Non-finite intermediates (NaN, +-inf) are legal and propagate under IEEE
 float semantics; callers decide what they mean (the problem simulators
 treat NaN priorities as "never pick this option").
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Mapping, NamedTuple, Union
 
@@ -132,16 +137,27 @@ MAX_VECTOR_LENGTH = 100_000     # length of any one vector input
 
 
 # --------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 # --------------------------------------------------------------------------
+#
+# One pattern scans every token.  At each offset, whitespace (exactly
+# " \t\r\n") and `#` comments to the end of the line are skipped; a number
+# is ASCII digits with an optional fraction and an optional exponent, or a
+# fraction alone (`.5`), and an exponent with no digit after its sign is not
+# part of it; an identifier is a word character run; an operator is one of
+# the two-character comparisons or a single character.  `\w` also matches
+# digits such as `²`, `½` or `٣`, so an identifier must start with a
+# `str.isalpha()` character or `_`.
 
-_TWO_CHAR_OPS = ("<=", ">=", "==", "!=")
-_ONE_CHAR_OPS = "+-*/(),;=<>"
-_DIGITS = "0123456789"
+_TOKEN_PATTERN = re.compile(r"""
+    (?P<skip>  [ \t\r\n]+ | \#[^\n]* )
+  | (?P<num>   (?: [0-9]+ (?: \.[0-9]* )? | \.[0-9]+ ) (?: [eE][+-]?[0-9]+ )? )
+  | (?P<ident> \w+ )
+  | (?P<op>    [<>=!]= | [-+*/(),;=<>] )
+""", re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "eof"
     text: str
     offset: int
@@ -150,50 +166,15 @@ class _Token:
 def _tokenize(source: str) -> list[_Token]:
     toks: list[_Token] = []
     i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            j = source.find("\n", i)
-            i = n if j < 0 else j + 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and source[i + 1] in _DIGITS):
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            if j < n and source[j] == ".":
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            toks.append(_Token("num", source[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", source[i:j], i))
-            i = j
-            continue
-        if source[i:i + 2] in _TWO_CHAR_OPS:
-            toks.append(_Token("op", source[i:i + 2], i))
-            i += 2
-            continue
-        if c in _ONE_CHAR_OPS:
-            toks.append(_Token("op", c, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", source, i)
+    while i < n and (m := _TOKEN_PATTERN.match(source, i)):
+        kind, text = m.lastgroup, m.group()
+        if kind == "ident" and not (text[0].isalpha() or text[0] == "_"):
+            break
+        if kind != "skip":
+            toks.append(_Token(kind, text, i))
+        i = m.end()
+    if i < n:
+        raise ParseError(f"unexpected character {source[i]!r}", source, i)
     toks.append(_Token("eof", "", n))
     return toks
 
@@ -201,12 +182,22 @@ def _tokenize(source: str) -> list[_Token]:
 # --------------------------------------------------------------------------
 # Recursive-descent parser
 # --------------------------------------------------------------------------
+#
+# program    := { "let" IDENT "=" comparison ";" } "return" comparison
+# comparison := arith [ CMP arith ]           (top level, arguments, parentheses)
+# arith      := factor { ("+"|"-"|"*"|"/") factor }, by _ARITH_LEVELS
+# factor     := [ "-" ] atom
+# atom       := NUMBER | IDENT | call | "(" comparison ")"
+# call       := FNAME "(" comparison { "," comparison } ")"
 
 _FUNC_ARITY = {name: 1 for name in ELEMENTWISE_UNARY}
 _FUNC_ARITY.update({name: 2 for name in ELEMENTWISE_BINARY})
 _FUNC_ARITY.update({name: 1 for name in REDUCTIONS})
 _FUNC_ARITY["where"] = 3
 
+# The precedence level of each arithmetic operator; each level associates
+# to the left, and a higher level binds tighter.
+_ARITH_LEVELS = {"+": 0, "-": 0, "*": 1, "/": 1}
 
 MAX_NESTING_DEPTH = 120  # bounds parser, analysis and code-generator recursion
 
@@ -229,6 +220,14 @@ class _Parser:
         t = self.toks[self.i]
         self.i += 1
         return t
+
+    def _accept(self, ops: tuple[str, ...]) -> str | None:
+        """The next token's text, consumed, if it is one of the operators `ops`."""
+        t = self.toks[self.i]
+        if t.kind == "op" and t.text in ops:
+            self.i += 1
+            return t.text
+        return None
 
     def _expect_op(self, text: str) -> _Token:
         t = self._next()
@@ -267,14 +266,14 @@ class _Parser:
             if name in self.scope:  # the inputs and the bindings so far
                 self._fail(f"duplicate binding {name!r}", name_tok)
             self._expect_op("=")
-            expr = self.parse_top_expr()
+            expr = self._comparison()
             self._expect_op(";")
             bindings.append((name, expr))
             self.scope.add(name)
         ret = self._next()
         if ret.kind != "ident" or ret.text != "return":
             self._fail("expected 'return'", ret)
-        result = self.parse_top_expr()
+        result = self._comparison()
         tail = self._peek()
         if tail.kind != "eof":
             self._fail(f"unexpected trailing input {tail.text!r}", tail)
@@ -290,89 +289,59 @@ class _Parser:
             raise ParseError(e.message, self.source, self.call_offsets[id(e.node)]) from None
         return program
 
-    def parse_top_expr(self) -> Expr:
-        # Lenient top level: bare comparisons like `a > b` are accepted in
-        # binding/return/argument position even though the canonical grammar
-        # writes them parenthesized.
-        left = self.parse_expr()
-        t = self._peek()
-        if t.kind == "op" and t.text in CMP_OPS:
-            self._next()
-            right = self.parse_expr()
-            return self._binary(t.text, left, right)
-        return left
+    def _comparison(self) -> Expr:
+        # A bare comparison like `a > b` is accepted wherever an expression
+        # may stand alone, though the prompt's grammar writes it parenthesized.
+        left = self._arith()
+        op = self._accept(CMP_OPS)
+        return left if op is None else self._binary(op, left, self._arith())
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
-        while True:
-            t = self._peek()
-            if t.kind == "op" and t.text in ("+", "-"):
-                self._next()
-                node = self._binary(t.text, node, self.parse_term())
-            else:
-                return node
+    def _arith(self, min_level: int = 0) -> Expr:
+        """A factor and the operators of level `min_level` or above that follow it."""
+        node = self._factor()
+        while _ARITH_LEVELS.get(self._peek().text, -1) >= min_level:
+            op = self._next().text
+            node = self._binary(op, node, self._arith(_ARITH_LEVELS[op] + 1))
+        return node
 
-    def parse_term(self) -> Expr:
-        node = self.parse_factor()
-        while True:
-            t = self._peek()
-            if t.kind == "op" and t.text in ("*", "/"):
-                self._next()
-                node = self._binary(t.text, node, self.parse_factor())
-            else:
-                return node
+    def _factor(self) -> Expr:
+        if self._accept(("-",)) is None:
+            return self._atom()
+        operand = self._atom()
+        return self._node(Unary("neg", operand), operand)
 
-    def parse_factor(self) -> Expr:
-        t = self._peek()
-        if t.kind == "op" and t.text == "-":
-            self._next()
-            operand = self.parse_atom()
-            return self._node(Unary("neg", operand), operand)
-        return self.parse_atom()
-
-    def parse_atom(self) -> Expr:
-        self.depth += 1
-        if self.depth > MAX_NESTING_DEPTH:
+    def _atom(self) -> Expr:
+        if self.depth == MAX_NESTING_DEPTH:
             raise self._nesting_error()
+        self.depth += 1
         try:
-            return self._parse_atom_inner()
+            t = self._next()
+            if t.kind == "num":
+                return Const(float(t.text))
+            if t.kind == "op" and t.text == "(":
+                inner = self._comparison()
+                self._expect_op(")")
+                return inner
+            if t.kind == "ident":
+                if t.text in KEYWORDS:
+                    self._fail(f"unexpected keyword {t.text!r}", t)
+                if self._peek().kind == "op" and self._peek().text == "(":
+                    return self._call(t)
+                if t.text not in self.scope:
+                    self._fail(f"undefined identifier {t.text!r}", t)
+                return Name(t.text)
+            self._fail(f"expected an expression, found {t.text or 'end of input'!r}", t)
         finally:
             self.depth -= 1
 
-    def _parse_atom_inner(self) -> Expr:
-        t = self._next()
-        if t.kind == "num":
-            return Const(float(t.text))
-        if t.kind == "op" and t.text == "(":
-            inner = self.parse_expr()
-            nxt = self._peek()
-            if nxt.kind == "op" and nxt.text in CMP_OPS:
-                self._next()
-                right = self.parse_expr()
-                self._expect_op(")")
-                return self._binary(nxt.text, inner, right)
-            self._expect_op(")")
-            return inner
-        if t.kind == "ident":
-            if t.text in KEYWORDS:
-                self._fail(f"unexpected keyword {t.text!r}", t)
-            nxt = self._peek()
-            if nxt.kind == "op" and nxt.text == "(":
-                return self.parse_call(t)
-            if t.text not in self.scope:
-                self._fail(f"undefined identifier {t.text!r}", t)
-            return Name(t.text)
-        self._fail(f"expected an expression, found {t.text or 'end of input'!r}", t)
-
-    def parse_call(self, name_tok: _Token) -> Expr:
+    def _call(self, name_tok: _Token) -> Expr:
         fname = name_tok.text
         if fname not in BUILTINS:
             self._fail(f"unknown function {fname!r}", name_tok)
         self._expect_op("(")
-        args = [self.parse_top_expr()]
-        while self._peek().kind == "op" and self._peek().text == ",":
-            self._next()
-            args.append(self.parse_top_expr())
+        args = [self._comparison()]
+        while self._accept((",",)) is not None:
+            args.append(self._comparison())
         self._expect_op(")")
         want = _FUNC_ARITY[fname]
         if len(args) != want:

@@ -316,7 +316,6 @@ class ScriptedProvider:
                  config: ProviderConfig | None = None):
         self.config = config or ProviderConfig(provider="scripted", transcript_path=str(transcript_path))
         self._entries: dict[tuple[str, int], str] = {}
-        self._kinds_called: list[str] = []  # list.append is atomic
         path = Path(transcript_path)
         text = jsonio.read_text(path, "transcript")
         for where, entry in jsonio.json_lines(text, str(path)):
@@ -328,13 +327,9 @@ class ScriptedProvider:
                 raise ValueError(f"{where}: duplicate transcript key {key}")
             self._entries[key] = entry["response"]
 
-    def calls_made(self, kind: str | PromptKind) -> int:
-        return self._kinds_called.count(PromptKind(kind).value)
-
     def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
         kind, index = prompt_key_of(prompt)
         kind = kind.value
-        self._kinds_called.append(kind)
         try:
             return self._entries[(kind, index)]
         except KeyError:

@@ -306,34 +306,8 @@ def simulate_obp(instance: ObpInstance, program: Program) -> EvalReport:
 
 
 # --------------------------------------------------------------------------
-# OBP baselines (independent of the expression-language path)
+# OBP baselines, as candidate programs
 # --------------------------------------------------------------------------
-
-def first_fit_bin_count(items: Sequence[int], capacity: int) -> int:
-    remaining = np.empty(len(items), dtype=np.int64)
-    n_open = 0
-    for item in items:
-        fit = np.nonzero(remaining[:n_open] >= item)[0]
-        if fit.size:
-            remaining[fit[0]] -= item
-        else:
-            remaining[n_open] = capacity - item
-            n_open += 1
-    return n_open
-
-
-def best_fit_bin_count(items: Sequence[int], capacity: int) -> int:
-    # Sorted remaining capacities; best fit = tightest bin that still fits.
-    remaining: list[int] = []
-    for item in items:
-        i = bisect.bisect_left(remaining, item)
-        if i == len(remaining):
-            bisect.insort(remaining, capacity - item)
-        else:
-            r = remaining.pop(i)
-            bisect.insort(remaining, r - item)
-    return len(remaining)
-
 
 BEST_FIT_PROGRAM = "return -(cap_remaining - item)"
 FIRST_FIT_PROGRAM = "return -bin_index"

@@ -49,6 +49,21 @@ BROKEN_CODE_RESPONSE = wrap_generation("confused idea", "return frobnicate(item)
 NO_CODE_RESPONSE = "{an idea} without any code fence"
 
 
+class CountingProvider(ScriptedProvider):
+    """A scripted provider that counts the calls of each prompt kind."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kinds_called: list[str] = []  # list.append is atomic
+
+    def calls_made(self, kind) -> int:
+        return self.kinds_called.count(llm.PromptKind(kind).value)
+
+    def complete(self, prompt: str, seed: int = 0, temperature: float | None = None) -> str:
+        self.kinds_called.append(llm.prompt_key_of(prompt)[0].value)
+        return super().complete(prompt, seed, temperature)
+
+
 class TranscriptBuilder:
     """Collects responses and assigns per-kind monotone indices."""
 
@@ -68,10 +83,10 @@ class TranscriptBuilder:
             self.add(kind, r)
         return self
 
-    def provider(self, tmp_path) -> ScriptedProvider:
+    def provider(self, tmp_path) -> CountingProvider:
         path = Path(tmp_path) / "transcript.jsonl"
         llm.write_transcript(path, self.entries)
-        return ScriptedProvider(path)
+        return CountingProvider(path)
 
     def write(self, path) -> Path:
         llm.write_transcript(path, self.entries)
@@ -80,6 +95,6 @@ class TranscriptBuilder:
 
 @pytest.fixture
 def scripted(tmp_path):
-    def build(builder: TranscriptBuilder) -> ScriptedProvider:
+    def build(builder: TranscriptBuilder) -> CountingProvider:
         return builder.provider(tmp_path)
     return build

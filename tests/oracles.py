@@ -7,11 +7,13 @@ test.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
-from cdeoh.dsl import Binary, Call, Const, EvalError, Name, Reduce, Unary, Value, Where, evaluate
+from cdeoh.dsl import (Binary, Call, Const, EvalError, Name, ParseError, Reduce, Unary, Value,
+                       Where, evaluate)
 from cdeoh.problems import CandidateFailure
 
 
@@ -89,6 +91,21 @@ def simple_best_fit(items, capacity: int) -> int:
             remaining.append(capacity - item)
         else:
             remaining[best_bin] -= item
+    return len(remaining)
+
+
+def fast_best_fit(items, capacity: int) -> int:
+    """Best fit over the sorted remaining capacities: the tightest bin that
+    still fits is the first one >= item.  Returns bins used; fast enough for
+    many 1k-item instances."""
+    remaining: list[int] = []
+    for item in items:
+        i = bisect.bisect_left(remaining, item)
+        if i == len(remaining):
+            bisect.insort(remaining, capacity - item)
+        else:
+            r = remaining.pop(i)
+            bisect.insort(remaining, r - item)
     return len(remaining)
 
 
@@ -237,6 +254,64 @@ def top_n_by_fitness(candidates, n: int):
 
 
 # ---------------------------------------------------------------- expression language
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int]]:
+    """A character loop over `source`: the differential oracle of the scanner
+    of cdeoh.dsl.
+
+    Returns its (kind, text, offset) tokens, ending in ("eof", "", len), or
+    raises the same ParseError on the first character no token starts with.
+    """
+    toks = []
+    i, n = 0, len(source)
+    digits = "0123456789"
+    while i < n:
+        c = source[i]
+        if c in " \t\r\n":
+            i += 1
+            continue
+        if c == "#":
+            j = source.find("\n", i)
+            i = n if j < 0 else j + 1
+            continue
+        if c in digits or (c == "." and i + 1 < n and source[i + 1] in digits):
+            j = i
+            while j < n and source[j] in digits:
+                j += 1
+            if j < n and source[j] == ".":
+                j += 1
+                while j < n and source[j] in digits:
+                    j += 1
+            if j < n and source[j] in "eE":
+                k = j + 1
+                if k < n and source[k] in "+-":
+                    k += 1
+                if k < n and source[k] in digits:
+                    j = k
+                    while j < n and source[j] in digits:
+                        j += 1
+            toks.append(("num", source[i:j], i))
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (source[j].isalnum() or source[j] == "_"):
+                j += 1
+            toks.append(("ident", source[i:j], i))
+            i = j
+            continue
+        if source[i:i + 2] in ("<=", ">=", "==", "!="):
+            toks.append(("op", source[i:i + 2], i))
+            i += 2
+            continue
+        if c in "+-*/(),;=<>":
+            toks.append(("op", c, i))
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {c!r}", source, i)
+    toks.append(("eof", "", n))
+    return toks
+
 
 def names_read(program) -> set[str]:
     """The declared inputs that a Program's tree names anywhere, by a plain walk."""

@@ -22,7 +22,7 @@ from cdeoh.dsl import (
     render_grammar,
 )
 
-from oracles import reference_evaluate
+from oracles import reference_evaluate, reference_tokenize
 
 OBP_SIG = {"item": "scalar", "cap_remaining": "vector", "bin_index": "vector"}
 
@@ -425,6 +425,29 @@ def test_parse_never_hangs_or_crashes_raw_text(txt):
         parse(txt, _RT_SIG)
     except ParseError:
         pass
+
+
+# Pieces of DSL text, and characters whose token class is easy to get wrong:
+# superscript and fraction digits, a roman numeral, a ligature (a letter), an
+# Arabic-Indic digit and a no-break space.
+_SCANNER_PIECES = ("item", "_x", "let", "return", "a1", "1", "0.5", "1.", ".5", ".", "1e", "1e+",
+                   "1e-3", "2E5", "e", "+", "-", "*", "/", "(", ")", ",", ";", "=", "<", "<=",
+                   ">", ">=", "==", "!=", "!", " ", "\t", "\r", "\n", "# note\n", "# at eof",
+                   "²", "½", "Ⅷ", "ﬁ", "٣", "\xa0", "x²", "a٣")
+
+
+def _scan(tokenize, source: str):
+    try:
+        return [tuple(t) for t in tokenize(source)]
+    except ParseError as e:
+        return e.message, e.offset
+
+
+@given(st.one_of(st.text(max_size=40),
+                 st.lists(st.sampled_from(_SCANNER_PIECES), max_size=20).map("".join)))
+@settings(max_examples=400, deadline=None)
+def test_scanner_matches_reference_tokenizer(source):
+    assert _scan(dsl._tokenize, source) == _scan(reference_tokenize, source)
 
 
 def test_sandbox_rejects_absurd_nesting():

@@ -33,6 +33,7 @@ from cdeoh.problems import CandidateFailure
 from conftest import (
     BROKEN_CODE_RESPONSE,
     NO_CODE_RESPONSE,
+    CountingProvider,
     TranscriptBuilder,
     ladder_fitness,
     ladder_instance,
@@ -686,7 +687,7 @@ def mixed_config(**kw) -> EvolutionConfig:
                   reflection_budget=2, **kw)
 
 
-class ThreadedProvider(ScriptedProvider):
+class ThreadedProvider(CountingProvider):
     """A scripted provider that records what a concurrent engine does to it.
 
     With `delay_seed` set, each call first sleeps a delay drawn from

@@ -23,6 +23,8 @@ from cdeoh.llm import (
     write_transcript,
 )
 
+from conftest import CountingProvider
+
 GRAMMAR = "program := ... (grammar text)"
 TASK = "pack items into bins"
 
@@ -183,7 +185,7 @@ def test_canonical_label_idempotent(text):
 def make_scripted(tmp_path, entries):
     path = tmp_path / "transcript.jsonl"
     write_transcript(path, entries)
-    return ScriptedProvider(path)
+    return CountingProvider(path)
 
 
 def test_scripted_provider_replays_by_kind_and_index(tmp_path):

@@ -14,10 +14,8 @@ from cdeoh.problems import (
     CandidateFailure,
     ObpInstance,
     TspInstance,
-    best_fit_bin_count,
     construct_tour,
     evaluate_candidate,
-    first_fit_bin_count,
     gen_obp,
     gen_tsp,
     make_obp_suite,
@@ -225,8 +223,9 @@ def test_baselines_match_naive_oracles():
     for _ in range(20):
         cap = rng.choice((10, 100))
         items = [rng.randint(1, cap) for _ in range(rng.randint(1, 120))]
-        assert first_fit_bin_count(items, cap) == simple_first_fit(items, cap)
-        assert best_fit_bin_count(items, cap) == simple_best_fit(items, cap)
+        inst = ObpInstance(capacity=cap, items=tuple(items))
+        assert len(pack_online(inst, FIRST_FIT)) == simple_first_fit(items, cap)
+        assert len(pack_online(inst, BEST_FIT)) == simple_best_fit(items, cap)
 
 
 # Golden numbers recorded from the Weibull(3.0, 45.0) suite, seeds 1-5,

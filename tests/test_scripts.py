@@ -92,16 +92,33 @@ def test_cli_import_loads_no_http_client_and_jsonio_no_other_cdeoh_module(tmp_pa
     assert proc.returncode == 0, proc.stderr
 
 
+def _bound_names(stmt: ast.stmt) -> list[str]:
+    """The names a def, class or assignment statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _unused_names(path: Path) -> list[str]:
-    """The module-level imports and module-private (`_name`) functions, classes
-    and constants of the module at `path` that the module never reads.  An
-    import on a `# noqa: F401` line, and every import of `__init__.py`, counts
-    as read."""
+    """The module-level imports, the module-private (`_name`) functions, classes
+    and constants, and the private methods and class attributes of the module
+    at `path` that the module never reads.  A class member counts as read
+    where the module reads an attribute or a name of its name.  An import on
+    a `# noqa: F401` line, and every import of `__init__.py`, counts as read."""
     source = path.read_text()
     lines = source.splitlines()
     tree = ast.parse(source)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    members_read = read | {node.attr for node in ast.walk(tree)
+                           if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
     unused = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
@@ -112,18 +129,50 @@ def _unused_names(path: Path) -> list[str]:
                 if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno}: import {name}")
             continue
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names = [stmt.name]
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in names:
-            private = name.startswith("_") and not name.startswith("__")
-            if private and name not in read:
-                unused.append(f"{path.name}:{stmt.lineno}: {name}")
+        unused += [f"{path.name}:{stmt.lineno}: {name}" for name in _bound_names(stmt)
+                   if _is_private(name) and name not in read]
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            unused += [f"{path.name}:{stmt.lineno}: {cls.name}.{name}"
+                       for stmt in cls.body for name in _bound_names(stmt)
+                       if _is_private(name) and name not in members_read]
     return unused
+
+
+_LINT_SAMPLE = """
+import os
+import sys
+
+
+def _helper():
+    return sys.argv
+
+
+class _Orphan:
+    pass
+
+
+class Parser:
+    _LEVELS = (1, 2)
+    _UNUSED_TABLE = (3,)
+
+    def parse(self):
+        return self._atom(self._LEVELS)
+
+    def _atom(self, levels):
+        return levels
+
+    def _orphaned_rule(self):
+        return _helper()
+"""
+
+
+def test_unused_name_lint_flags_orphaned_private_members(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(_LINT_SAMPLE)
+    assert _unused_names(path) == ["sample.py:2: import os", "sample.py:10: _Orphan",
+                                   "sample.py:16: Parser._UNUSED_TABLE",
+                                   "sample.py:24: Parser._orphaned_rule"]
 
 
 def test_package_has_no_unused_import_or_private_name():
