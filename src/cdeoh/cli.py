@@ -220,15 +220,18 @@ def _fresh_run_dir(output_dir: Path) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%d_%H%M%S")
     base = output_dir / f"run_{stamp}"
     path, n = base, 1
-    while path.exists():
-        n += 1
-        path = Path(f"{base}_{n}")
     try:
-        path.mkdir(parents=True)
+        output_dir.mkdir(parents=True, exist_ok=True)
+        while True:  # mkdir, not a check before it, decides which name is free
+            try:
+                path.mkdir()
+                return path
+            except FileExistsError:
+                n += 1
+                path = Path(f"{base}_{n}")
     except OSError as e:
         raise ValueError(f"cannot create run directory under {output_dir}:"
                          f" {e.strerror or e}") from None
-    return path
 
 
 def _write_results(run_dir: Path) -> RunState:

@@ -18,7 +18,6 @@ treat NaN priorities as "never pick this option").
 from __future__ import annotations
 
 import functools
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Mapping, NamedTuple, Union
@@ -369,54 +368,6 @@ def parse(source: str, inputs: Mapping[str, Kind] | None = None) -> Program:
         if kind not in ("scalar", "vector"):
             raise ValueError(f"input {name!r}: kind must be 'scalar' or 'vector', got {kind!r}")
     return _Parser(source, inputs).parse_program()
-
-
-# --------------------------------------------------------------------------
-# Pretty printer: the engine's per-run score-cache key.  It is exact: two
-# parsed programs print alike only if they are the same tree, because
-# literals print with `repr` and every non-atom operand is parenthesized.
-# --------------------------------------------------------------------------
-
-def _fmt_number(x: float) -> str:
-    if math.isinf(x):
-        return "1e400"  # overflows back to +inf on parse
-    return repr(x)
-
-
-def _print_expr(e: Expr) -> str:
-    if isinstance(e, Const):
-        return _fmt_number(e.value)
-    if isinstance(e, Name):
-        return e.ident
-    if isinstance(e, Unary):
-        return "-" + _print_child(e.operand)
-    if isinstance(e, Binary):
-        if e.op in CMP_OPS:
-            return f"({_print_expr(e.left)} {e.op} {_print_expr(e.right)})"
-        return f"{_print_child(e.left)} {e.op} {_print_child(e.right)}"
-    if isinstance(e, Call):
-        return f"{e.func}({', '.join(_print_expr(a) for a in e.args)})"
-    if isinstance(e, Where):
-        return f"where({_print_expr(e.cond)}, {_print_expr(e.then)}, {_print_expr(e.other)})"
-    if isinstance(e, Reduce):
-        return f"{e.func}({_print_expr(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _print_child(e: Expr) -> str:
-    # Parenthesize anything that is not an atom so the tree shape survives
-    # a reparse unchanged.
-    if isinstance(e, Binary) and e.op not in CMP_OPS:
-        return f"({_print_expr(e)})"
-    if isinstance(e, Unary):
-        return f"({_print_expr(e)})"
-    return _print_expr(e)
-
-
-def pretty_print(program: Program) -> str:
-    parts = [f"let {name} = {_print_expr(expr)}; " for name, expr in program.bindings]
-    parts.append(f"return {_print_expr(program.result)}")
-    return "".join(parts)
 
 
 # --------------------------------------------------------------------------

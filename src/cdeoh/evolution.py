@@ -213,7 +213,7 @@ class EvolutionConfig:
             raise ValueError("population_size must be >= 1")
         if not 0 <= self.elite_categories <= self.population_size:
             raise ValueError("elite_categories must lie in [0, population_size]")
-        if self.lambda_weight < 0:
+        if not self.lambda_weight >= 0:  # NaN too
             raise ValueError("lambda must be >= 0")
         if self.reflection_budget < 0:
             raise ValueError("reflection_budget must be >= 0")
@@ -388,12 +388,12 @@ class _Made:
 @dataclass
 class _Request:
     """A sent generation or reflection call.  `parsed` is set once its response
-    has arrived: the (thought, code, score key or ParseError) of the program,
-    or the ParseFailure of the response."""
+    has arrived: the (thought, code) of the program, whose code is its key in
+    the engine's scores, or the ParseFailure of the response."""
     kind: PromptKind
     parent_id: int | None
     response: Future | _Made
-    parsed: tuple[str, str, str | ParseError] | ParseFailure | None = None
+    parsed: tuple[str, str] | ParseFailure | None = None
 
 
 def _next_failure(failure: tuple[str, str, str], attempt: _Request,
@@ -456,13 +456,15 @@ class EvolutionEngine:
             dsl_grammar=dsl.render_grammar(),
         )
         self.state = RunState()
-        # Each distinct tree is simulated once per run: its EvalReport or
-        # CandidateFailure text, keyed by the exact `dsl.pretty_print` (no
-        # algebra is normalised: IEEE arithmetic is not associative), or the
-        # Futures of its simulations, one per instance, until they are read.
-        # Memory: one EvalReport (one gap per instance) or message per
-        # distinct program.
+        # The score of each code text, parsed once per run: its EvalReport,
+        # its ParseError or CandidateFailure text, or the Futures of its
+        # simulations, one per instance, until they are read.  A text takes
+        # the entry of the first text with its tree (`_trees`: (bindings,
+        # result) -> first text), so each tree is simulated once; no algebra
+        # is normalised, as IEEE arithmetic is not associative.
+        # Memory: one EvalReport (one gap per instance) or message per text.
         self._scores: dict[str, problems.EvalReport | str | list[Future]] = {}
+        self._trees: dict[tuple, str] = {}
         self._emit = log or (lambda event, payload: None)
         # Events logged but not yet folded; an evaluation's category may still
         # be the Future of its category call.
@@ -739,36 +741,44 @@ class EvolutionEngine:
         return outcome if outcome is not None and isinstance(outcome[2], str) else None
 
     def _parse(self, request: _Request) -> None:
-        """Parse the arrived response of `request`, once, and send its program's
-        simulations."""
+        """Read the arrived response of `request`, once, and compile its code."""
         if request.parsed is None:
             try:
                 thought, code = llm.parse_generation(self._wait(request.response))
             except ParseFailure as e:
                 request.parsed = e
             else:
-                request.parsed = (thought, code, self._compile(code))
+                self._compile(code)
+                request.parsed = (thought, code)
 
-    def _compile(self, code: str) -> str | ParseError:
-        """The score key of the tree of `code`, whose simulations are sent to the
-        workers the first time the tree is seen; or its ParseError."""
+    def _compile(self, code: str) -> None:
+        """Give `code` its entry in `_scores` unless it has one: its ParseError
+        text if it does not parse, else the entry of the first text with the
+        same tree, else the Futures of its simulations, sent to the workers now.
+        A tree whose unread simulations `_open_pool` dropped is sent again."""
+        if code in self._scores:
+            return
         try:
             program = dsl.parse(code, self.signature)
         except ParseError as e:
-            return e
-        key = dsl.pretty_print(program)
-        if key not in self._scores:
-            self._scores[key] = [self._sims.submit(_simulate, i, code)
-                                 for i in range(len(self.suite.instances))]
-        return key
+            self._scores[code] = str(e)
+            return
+        tree = program.bindings, program.result
+        first = self._trees.get(tree)
+        if first in self._scores:
+            self._scores[code] = self._scores[first]
+        else:
+            self._trees[tree] = code
+            self._scores[code] = [self._sims.submit(_simulate, i, code)
+                                  for i in range(len(self.suite.instances))]
 
-    def _score(self, key: str, wait: bool = False) -> problems.EvalReport | str | None:
-        """The score of a compiled tree; without `wait`, None if reading it would
+    def _score(self, code: str, wait: bool = False) -> problems.EvalReport | str | None:
+        """The score of a compiled text; without `wait`, None if reading it would
         wait for a simulation or raise its error.  Its simulations are read in
         instance order, and the first failure's text is its score, as
         `evaluate_candidate` fails fast; the later ones are cancelled if they
         have not started."""
-        score = self._scores[key]
+        score = self._scores[code]
         if isinstance(score, list):
             reports = []
             for simulation in score:
@@ -782,23 +792,24 @@ class EvolutionEngine:
                 reports.append(result)
             else:
                 result = problems.mean_report(reports)
-            self._scores[key] = score = result
+            self._scores[code] = score = result
         return score
 
     def _outcome(self, request: _Request, wait: bool
                  ) -> tuple[str, str, problems.EvalReport | str] | None:
         """The (thought, code, EvalReport or error text) of `request`, whose
         response has arrived unless `wait`; a ProviderError of its call is
-        raised.  For a response that does not parse, the thought and code are
-        whatever there is for a reflection prompt to show.  Without `wait`,
-        None while the program's score is not known."""
+        raised.  For a response missing its thought or code block, the thought
+        and code are whatever there is for a reflection prompt to show; a
+        program that does not parse has its ParseError text as its score.
+        Without `wait`, None while the program's score is not known."""
         self._parse(request)
         parsed = request.parsed
         if isinstance(parsed, ParseFailure):
             return (parsed.thought or "(no thought block provided)",
                     parsed.code or request.response.result(), str(parsed))
-        thought, code, key = parsed
-        score = str(key) if isinstance(key, ParseError) else self._score(key, wait)
+        thought, code = parsed
+        score = self._score(code, wait)
         return None if score is None else (thought, code, score)
 
     def _commit(self, request: _Request, generation: int) -> int | None:

@@ -118,7 +118,7 @@ class ProviderConfig:
             raise ValueError("max_retries must be >= 1")
         if self.max_prompt_bytes < MIN_PROMPT_BYTES:
             raise ValueError(f"max_prompt_bytes must be >= {MIN_PROMPT_BYTES}")
-        if self.retry_backoff_s < 0:
+        if not self.retry_backoff_s >= 0:  # NaN too
             raise ValueError("retry_backoff_s must be >= 0")
 
 
@@ -380,7 +380,10 @@ class HttpProvider:
         last: ProviderError | None = None
         for attempt in range(1, self.config.max_retries + 1):
             if last is not None:
-                time.sleep(wait)
+                try:
+                    time.sleep(wait)
+                except OverflowError:  # a Retry-After past any sleep
+                    raise last from None
                 backoff *= 2
                 wait = backoff
             try:
@@ -396,7 +399,7 @@ class HttpProvider:
             if status == 429:
                 retry_after = (headers.get("Retry-After") or "").strip()
                 if retry_after.isascii() and retry_after.isdigit():  # seconds, not an HTTP-date
-                    wait = int(retry_after)
+                    wait = float(retry_after)  # inf past float's range
                 last = ProviderError("rate-limited-exhausted", f"attempt {attempt}: rate limited (429)")
                 continue
             if status >= 500:

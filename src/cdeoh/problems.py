@@ -174,7 +174,7 @@ def gen_obp(seed: int, n_items: int, capacity: int,
         raise ValueError("n_items must be >= 1")
     if not 2 <= capacity <= MAX_CAPACITY:
         raise ValueError(f"capacity must lie in [2, {MAX_CAPACITY}]")
-    if shape <= 0 or scale <= 0:
+    if not (shape > 0 and scale > 0):  # NaN too
         raise ValueError("shape and scale must be positive")
     rng = np.random.default_rng(seed)
     with np.errstate(over="ignore"):  # a huge scale gives inf, clipped to capacity below

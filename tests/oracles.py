@@ -313,6 +313,31 @@ def reference_tokenize(source: str) -> list[tuple[str, str, int]]:
     return toks
 
 
+def print_program(program) -> str:
+    """Source text that parses back to the tree of a cdeoh.dsl Program: every
+    operator expression is parenthesized, and every literal prints as its
+    `repr`, except +inf, which prints as `1e400` and overflows back to inf."""
+    def expr(e):
+        if isinstance(e, Const):
+            return "1e400" if e.value == math.inf else repr(e.value)
+        if isinstance(e, Name):
+            return e.ident
+        if isinstance(e, Unary):
+            return f"(-{expr(e.operand)})"
+        if isinstance(e, Binary):
+            return f"({expr(e.left)} {e.op} {expr(e.right)})"
+        if isinstance(e, Call):
+            return f"{e.func}({', '.join(expr(a) for a in e.args)})"
+        if isinstance(e, Where):
+            return f"where({expr(e.cond)}, {expr(e.then)}, {expr(e.other)})"
+        if isinstance(e, Reduce):
+            return f"{e.func}({expr(e.arg)})"
+        raise TypeError(f"not an Expr: {e!r}")
+
+    lets = "".join(f"let {name} = {expr(e)}; " for name, e in program.bindings)
+    return f"{lets}return {expr(program.result)}"
+
+
 def names_read(program) -> set[str]:
     """The declared inputs that a Program's tree names anywhere, by a plain walk."""
     found = set()

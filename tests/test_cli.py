@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from cdeoh import dsl, evolution, llm, problems
+from cdeoh import cli, dsl, evolution, llm, problems
 from cdeoh.cli import (
     SUMMARY_COLUMNS,
     ConfigError,
@@ -894,6 +894,30 @@ def test_run_dir_under_a_regular_file_is_one_line_and_exit_2(tmp_path, capsys):
     assert main(["run", str(cfg_path)]) == 2
     assert capsys.readouterr().err == (f"error: cannot create run directory under {output_dir}:"
                                        " Not a directory\n")
+
+
+@pytest.mark.parametrize("link", ["output_dir", "its parent"])
+def test_run_dir_under_a_dangling_symlink_is_one_line_and_exit_2(tmp_path, capsys, link):
+    # A link to an unmounted volume: mkdir meets EEXIST on a name that is no directory.
+    output_dir = tmp_path / "parent" / "runs"
+    dangling = output_dir if link == "output_dir" else output_dir.parent
+    dangling.parent.mkdir(parents=True, exist_ok=True)
+    dangling.symlink_to(tmp_path / "missing")
+    cfg_path = write_run_config(tmp_path, three_gen_transcript(), output_dir=str(output_dir))
+    assert main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (f"error: cannot create run directory under {output_dir}:"
+                                       " File exists\n")
+
+
+def test_run_dir_takes_the_next_suffix_when_mkdir_finds_the_name_taken(tmp_path, monkeypatch):
+    # As when another run took the name between an existence check and mkdir.
+    stamp = cli.datetime(2026, 1, 2, 3, 4, 5, tzinfo=cli.timezone.utc)
+    monkeypatch.setattr(cli, "datetime", mock.Mock(now=lambda tz: stamp))
+    (tmp_path / "run_20260102_030405").mkdir()
+    (tmp_path / "run_20260102_030405_2").mkdir()
+    monkeypatch.setattr(Path, "exists", lambda self: False)
+    assert cli._fresh_run_dir(tmp_path) == tmp_path / "run_20260102_030405_3"
+    assert (tmp_path / "run_20260102_030405_3").is_dir()
 
 
 # ---------------------------------------------------------------- the whole loop, fuzzed

@@ -18,11 +18,10 @@ from cdeoh.dsl import (
     Unary,
     evaluate,
     parse,
-    pretty_print,
     render_grammar,
 )
 
-from oracles import reference_evaluate, reference_tokenize
+from oracles import print_program, reference_evaluate, reference_tokenize
 
 OBP_SIG = {"item": "scalar", "cap_remaining": "vector", "bin_index": "vector"}
 
@@ -310,7 +309,7 @@ def _programs(draw):
         scope = scope + (names[i],)
     result = draw(_exprs(scope))
     bindings = tuple(bindings)
-    src = pretty_print(Program("", bindings, result, tuple(_RT_SIG.items())))
+    src = print_program(Program("", bindings, result, tuple(_RT_SIG.items())))
     return Program(src, bindings, result, tuple(_RT_SIG.items()))
 
 
@@ -320,9 +319,9 @@ def _is_scalar_reduction_error(err: ParseError) -> bool:
 
 @given(_programs())
 @settings(max_examples=150, deadline=None)
-def test_round_trip_pretty_print(p):
+def test_round_trip_print_program(p):
     try:
-        q = parse(pretty_print(p), dict(p.arity))
+        q = parse(print_program(p), dict(p.arity))
     except ParseError as e:
         # the strategy also builds reductions of scalars, which parse rejects
         # (the reference-interpreter property checks that they are)
@@ -349,7 +348,7 @@ def test_compiled_evaluate_matches_reference_interpreter(p, s, v, v_as_list):
     except EvalError as e:
         expected = e
     try:
-        parse(pretty_print(p), dict(p.arity))
+        parse(print_program(p), dict(p.arity))
     except ParseError as e:
         # every scalar reduction fails at parse time; the reference meets it
         # unless an empty minval/maxval came first

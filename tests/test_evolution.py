@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from collections import Counter
 from concurrent.futures.process import ProcessPoolExecutor
 
@@ -241,6 +242,21 @@ def test_config_defaults_and_validation():
         EvolutionConfig(lambda_weight=-1)
     with pytest.raises(ValueError):
         EvolutionConfig(population_size=2, elite_categories=3)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: EvolutionConfig(lambda_weight=math.nan), "lambda must be >= 0"),
+    (lambda: llm.ProviderConfig(transcript_path="t.jsonl", retry_backoff_s=math.nan),
+     "retry_backoff_s must be >= 0"),
+    (lambda: problems.gen_obp(1, 10, 100, shape=math.nan), "shape and scale must be positive"),
+    (lambda: problems.gen_obp(1, 10, 100, scale=math.nan), "shape and scale must be positive"),
+], ids=["lambda_weight", "retry_backoff_s", "shape", "scale"])
+def test_nan_fails_each_range_check_with_its_message(make, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError) as ei:
+            make()
+    assert str(ei.value) == message
 
 
 # ---------------------------------------------------------------- engine: init
@@ -563,11 +579,13 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
         ("initialization", "a, spaced", ladder_1_spaced),
         # generation 1, parent 1
         ("refinement", "scalar", "return item"),  # CandidateFailure
+        ("reflection", "unbalanced", "return (item"),  # ParseError
         ("reflection", "scalar again", "return   item"),
         ("reflection", "worst fit", "return cap_remaining + item"),
         ("innovation", "worst fit, swapped", "return item + cap_remaining"),
         # generation 1, parent 2
         ("refinement", "scalar", "return item"),
+        ("reflection", "unbalanced again", "return (item"),
         ("reflection", "back to a", ladder_1),
         ("innovation", "b", ladder_program(2)),
     ]
@@ -583,6 +601,10 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     sig = problems.input_signature("obp")
     parsed, simulated = [], []  # codes the engine parsed; (instance, tree) it sent to a worker
 
+    def tree(code):
+        program = parse(code, sig)
+        return program.bindings, program.result
+
     def recording_parse(code, inputs=None):
         parsed.append(code)
         return parse(code, inputs)
@@ -590,7 +612,7 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     def counting_submit(pool, fn, *args, **kwargs):
         if fn is evolution._simulate:
             index, code = args
-            simulated.append((index, dsl.pretty_print(parse(code, sig))))
+            simulated.append((index, tree(code)))
         return submit(pool, fn, *args, **kwargs)
 
     monkeypatch.setattr(dsl, "parse", recording_parse)
@@ -600,18 +622,18 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
     EvolutionEngine(cfg, provider, suite, log=lambda e, p: events.append((e, p))).run()
     monkeypatch.undo()
 
-    assert sorted(parsed) == sorted(code for *_, code in commits)  # each response once
-    keys = {dsl.pretty_print(dsl.parse(code, sig)) for code in parsed}
-    assert len(keys) == 5  # ladder 1 (3 copies), `item` (3), both sums, ladder 2
+    assert sorted(parsed) == sorted({code for *_, code in commits})  # each text once
+    trees = {tree(code) for code in parsed if code != "return (item"}
+    assert len(trees) == 5  # ladder 1 (3 copies), `item` (3), both sums, ladder 2
     # each distinct tree simulated once on each instance
-    assert sorted(simulated) == sorted((i, key) for key in keys for i in (0, 1))
+    assert Counter(simulated) == Counter((i, t) for t in trees for i in (0, 1))
     assert provider.calls_made("category-induction") == 6  # every success is labelled
     evaluations = [p for e, p in events if e == "evaluation"]
     assert len(evaluations) == len(commits)
     for (*_, code), payload in zip(commits, evaluations):
         try:
             want = problems.evaluate_candidate(suite, dsl.parse(code, sig))
-        except CandidateFailure as e:
+        except (dsl.ParseError, CandidateFailure) as e:
             assert payload["error"] == str(e)
             continue
         assert "error" not in payload
@@ -619,7 +641,19 @@ def test_run_scores_each_distinct_tree_once_and_as_a_fresh_evaluation(scripted, 
         assert payload["gap_percent"].hex() == want.gap_percent.hex()
         assert ([g.hex() for g in payload["instance_gaps"]]
                 == [r.gap_percent.hex() for r in want.per_instance])
-    assert sum("error" in p for p in evaluations) == 3
+    assert sum("error" in p for p in evaluations) == 5
+
+
+def test_a_tree_whose_unread_simulations_were_dropped_is_simulated_again():
+    engine = EvolutionEngine(config(), None, ladder_suite())
+    with engine._open_pool():
+        engine._compile(ladder_program(1))
+    assert engine._scores == {}  # its simulations were never read
+    spaced = ladder_program(1) + "  "  # the same tree, whose first text has no entry now
+    with engine._open_pool():
+        engine._compile(spaced)
+        report = engine._score(spaced, wait=True)
+    assert report.fitness == ladder_fitness(1)
 
 
 @pytest.mark.parametrize("code", [ladder_program(1), "return item"])  # passes; CandidateFailure

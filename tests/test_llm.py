@@ -477,6 +477,20 @@ def test_http_provider_rate_limited_to_the_end_sleeps_only_between_attempts(
     assert _RateLimitHandler.hits == 3
 
 
+@pytest.mark.parametrize("retry_after", ["9223372037", "9" * 5000], ids=["past-sleep", "past-int"])
+def test_http_provider_gives_up_at_once_on_a_retry_after_past_any_sleep(
+        rate_limited_server, monkeypatch, retry_after):
+    monkeypatch.setenv(llm.API_KEY_ENV, "k")
+    monkeypatch.setattr(_RateLimitHandler, "limited", 4)
+    monkeypatch.setattr(_RateLimitHandler, "retry_after", retry_after)
+    provider = llm.HttpProvider(http_config(rate_limited_server, max_retries=3))
+    with pytest.raises(ProviderError) as ei:
+        provider.complete("x")
+    assert ei.value.kind == "rate-limited-exhausted"
+    assert "attempt 1" in str(ei.value)
+    assert _RateLimitHandler.hits == 1
+
+
 def test_http_provider_malformed_response(local_server, monkeypatch):
     monkeypatch.setenv(llm.API_KEY_ENV, "k")
     _Handler.behavior = "malformed"

@@ -106,6 +106,13 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.startswith("__")
 
 
+def _names_read(node: ast.AST) -> set[str]:
+    """The names and attributes that `node` reads."""
+    return ({n.id for n in ast.walk(node) if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            | {n.attr for n in ast.walk(node)
+               if isinstance(n, ast.Attribute) and not isinstance(n.ctx, ast.Store)})
+
+
 def _unused_names(path: Path) -> list[str]:
     """The module-level imports, the module-private (`_name`) functions, classes
     and constants, and the private methods and class attributes of the module
@@ -117,8 +124,7 @@ def _unused_names(path: Path) -> list[str]:
     tree = ast.parse(source)
     read = {node.id for node in ast.walk(tree)
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
-    members_read = read | {node.attr for node in ast.walk(tree)
-                           if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)}
+    members_read = _names_read(tree)
     unused = []
     for stmt in tree.body:
         if isinstance(stmt, (ast.Import, ast.ImportFrom)):
@@ -175,8 +181,49 @@ def test_unused_name_lint_flags_orphaned_private_members(tmp_path):
                                    "sample.py:24: Parser._orphaned_rule"]
 
 
+def _unused_public_names(package: Path, roots: list[Path]) -> list[str]:
+    """The public module-level functions and classes of the modules in `package`
+    that no file under `roots` names, apart from their own definitions."""
+    def names_named(node: ast.AST) -> set[str]:  # read, or imported from a module
+        return _names_read(node) | {alias.name for n in ast.walk(node)
+                                    if isinstance(n, ast.ImportFrom) for alias in n.names}
+
+    trees = {path: ast.parse(path.read_text()) for root in roots for path in sorted(root.rglob("*.py"))}
+    named = {path: names_named(tree) for path, tree in trees.items()}
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        body = trees[path].body
+        named_by_stmt = [names_named(stmt) for stmt in body]
+        for stmt in body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not _is_private(stmt.name)
+                    and not any(stmt.name in names for other, names in named.items() if other != path)
+                    and not any(stmt.name in names for s, names in zip(body, named_by_stmt) if s is not stmt)):
+                unused.append(f"{path.name}:{stmt.lineno}: {stmt.name}")
+    return unused
+
+
+def test_unused_name_lint_flags_public_names_named_nowhere_else(tmp_path):
+    package, tests = tmp_path / "pkg", tmp_path / "tests"
+    package.mkdir()
+    tests.mkdir()
+    (package / "mod.py").write_text(
+        "def used():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n\n"
+        "class Orphan:\n    pass\n")
+    (tests / "test_mod.py").write_text("import mod\n\nassert mod.used() == 1\n")
+    assert _unused_public_names(package, [package, tests]) == ["mod.py:9: recursive",
+                                                               "mod.py:13: Orphan"]
+
+
 def test_package_has_no_unused_import_or_private_name():
     """A lint the package keeps without a linter: every module-level import and
-    every module-private definition of src/cdeoh is read somewhere."""
-    paths = sorted((ROOT / "src" / "cdeoh").glob("*.py"))
+    every module-private definition of src/cdeoh is read somewhere, and every
+    public module-level function and class is named somewhere besides its
+    definition under src/, tests/, scripts/ or perfbench/."""
+    package = ROOT / "src" / "cdeoh"
+    paths = sorted(package.glob("*.py"))
     assert [found for path in paths for found in _unused_names(path)] == []
+    roots = [ROOT / name for name in ("src", "tests", "scripts", "perfbench")]
+    assert _unused_public_names(package, roots) == []
