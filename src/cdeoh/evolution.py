@@ -295,16 +295,31 @@ def select_next_generation(candidates: Sequence[Candidate],
 # Threads of a run's call pool, and requests of a wave sent ahead of the one
 # being committed.  While the provider is slow, the pool makes every call: the
 # wave's requests, the category calls and each reflection attempt, sent ahead
-# or not.  At 8, reflections sent ahead waited in the pool's queue behind a
-# generation's calls (2N = 20 at the default population); 32 gained llm-latency
-# at most 6% and cost tsp-evolve peak memory.
-MAX_IN_FLIGHT = 16
+# or not.  At 32 a wave of the default population (2N = 20) is in flight
+# whole, and its reflections and category calls still find free threads: at
+# 16 the last 3 of its requests waited for the first commit.  With small
+# suites scored on the caller, 32 gained llm-latency candidates per second
+# 6% over 16 (8 of 8 paired runs on 2 vCPU), and tsp-evolve peak memory moved
+# +0.5% (10 pairs).
+MAX_IN_FLIGHT = 32
 
 # A call goes to the pool only after the provider's last call took this long;
-# until then it is made on the caller's thread.  A pool thread must take the
-# GIL from a caller that is simulating, which cost the caller about 2 ms per
-# call on 2 vCPU: far more than a scripted call takes (tens of microseconds).
+# until then it is made on the caller's thread, as a scripted call takes tens
+# of microseconds.  With every call on the pool (POOL_MIN_S = 0), scripted
+# obp-evolve runs read `wall_s` +1% to +18% and `sample_ms_p95` 40-45 ms ->
+# 53-61 ms on 2 vCPU (three seeds).
 POOL_MIN_S = 0.001
+
+# A suite is simulated on worker processes only if one of its instances has
+# this many decision steps (OBP items, TSP cities) or more; a smaller suite is
+# scored on the caller's thread, which forks nothing.  A worker task's round
+# trip costs 1-3 ms under load, and the pool 15 ms a run to start and join,
+# while a 25-item simulation takes about 0.1 ms.  On one instance, on 2 vCPU,
+# the caller scored 1.49x as many candidates per second as the pool at 100 OBP
+# items, 1.06x at 250 and 0.89x at 500; 1.29x at 50 TSP cities, 1.01x at 200
+# and 0.69x at 400.  A suite of several instances also simulates them in
+# parallel on the pool.
+WORKER_MIN_STEPS = 50
 
 # Worker processes that simulate a run's candidates: one per CPU this process
 # may run on, and no more than a wave's window can keep busy.
@@ -415,13 +430,13 @@ class EvolutionEngine:
     `rng_seed` plus the samples before it.
 
     `_wave` keeps the `MAX_IN_FLIGHT` requests after the one it commits in
-    flight on a pool of as many threads (16).  It commits the responses on
+    flight on a pool of as many threads (32).  It commits the responses on
     the caller's thread in plan order: it logs the sample, reads the
     request's outcome, runs a failure's reflection chain one attempt after
     another and sends a success's category call.  Events wait in `_queue`
     behind the first candidate whose label has not arrived, so the event
     stream is that of a run that makes one call at a time.  Requests past the
-    point where the sample budget runs out are never committed: up to 16 may
+    point where the sample budget runs out are never committed: up to 32 may
     have been sent, and their responses and errors are dropped.  While the
     provider answers within `POOL_MIN_S`, each call is made on the caller's
     thread when it is sent, which changes only where it runs.
@@ -436,13 +451,15 @@ class EvolutionEngine:
     a simulation or a reflection attempt, `_wait` parses each response of
     the window as it arrives and walks again.
 
-    Candidates are simulated on `SIM_WORKERS` forked worker processes (one
-    per CPU, at most `MAX_IN_FLIGHT`), one task per (program, instance).
     Before each commit, and in `_wait`, the caller parses every response of
-    the window that has arrived and sends the simulations of each tree not
-    yet scored, so the workers score ahead of the commits; the commit reads
-    the results in instance order.  Scores are pure functions of the tree,
-    so where and when they are computed changes no event.
+    the window that has arrived and scores each tree not yet scored, ahead
+    of the commits.  A suite with an instance of `WORKER_MIN_STEPS` steps or
+    more is simulated on `SIM_WORKERS` forked worker processes (one per CPU,
+    at most `MAX_IN_FLIGHT`), one task per (program, instance), and the
+    commit reads the results in instance order; a smaller suite is scored on
+    the caller's thread when its response is parsed.  Scores are pure
+    functions of the tree, so where and when they are computed changes no
+    event.
     """
 
     def __init__(self, config: EvolutionConfig, provider, suite: BenchmarkSuite,
@@ -515,43 +532,47 @@ class EvolutionEngine:
 
     @contextlib.contextmanager
     def _open_pool(self):
-        """The simulation workers and the call pool while the body runs.  On exit,
-        also when the body raised, the queued events are logged, calls and
-        simulations not yet started are cancelled, and every thread and worker
-        process is joined."""
-        import multiprocessing  # imported by a run only, so other commands start faster
-        from concurrent.futures.process import ProcessPoolExecutor
-
-        # References are cached on the instances, so forked workers inherit them.
-        reference = problems.obp_lower_bound if self.suite.task == "obp" else problems.tsp_reference
-        for instance in self.suite.instances:
-            reference(instance)
-        # Forked workers inherit the suite instead of unpickling it.  A fork
-        # copies only the forking thread, so every worker is forked (by the
-        # first submit) before this engine starts a thread.
-        self._sims = ProcessPoolExecutor(SIM_WORKERS, multiprocessing.get_context("fork"),
-                                         initializer=_start_worker, initargs=(self.suite, os.getpid()))
-        try:
-            self._sims.submit(int)
+        """The call pool while the body runs, and the simulation workers if an
+        instance of the suite has WORKER_MIN_STEPS steps or more; a smaller
+        suite neither imports `multiprocessing` nor forks.  On exit, also when
+        the body raised, the queued events are logged, calls and simulations
+        not yet started are cancelled, and every thread and worker process is
+        joined."""
+        steps = max(len(i.items) if self.suite.task == "obp" else i.n_cities
+                    for i in self.suite.instances)
+        with contextlib.ExitStack() as stack:  # exits in the reverse order
+            stack.callback(self._closed)
+            # Starts no thread before its first submit.
             self._pool = ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT,
                                             thread_name_prefix="cdeoh-call")
-            try:
-                yield
-            finally:
+            stack.callback(self._pool.shutdown, wait=True, cancel_futures=True)
+            stack.callback(self._drain)
+            if steps >= WORKER_MIN_STEPS:
+                import multiprocessing  # imported by a run only, so other commands start faster
+                from concurrent.futures.process import ProcessPoolExecutor
+
+                # References are cached on the instances, so forked workers inherit them.
+                reference = (problems.obp_lower_bound if self.suite.task == "obp"
+                             else problems.tsp_reference)
+                for instance in self.suite.instances:
+                    reference(instance)
+                # Forked workers inherit the suite instead of unpickling it.  A
+                # fork copies only the forking thread, so every worker is forked
+                # (by the first submit) before this engine starts a thread.
+                self._sims = ProcessPoolExecutor(SIM_WORKERS, multiprocessing.get_context("fork"),
+                                                 initializer=_start_worker,
+                                                 initargs=(self.suite, os.getpid()))
                 # No simulation is read after the body, so the workers are
                 # joined while the last category calls are still in flight.
-                self._sims.shutdown(wait=True, cancel_futures=True)
-                try:
-                    self._drain()
-                finally:
-                    self._pool.shutdown(wait=True, cancel_futures=True)
-                    self._pool = None
-        finally:
-            self._sims.shutdown(wait=True, cancel_futures=True)  # done already, unless a fork failed
-            self._sims = None
-            # Simulations not yet read may have been cancelled.
-            self._scores = {key: score for key, score in self._scores.items()
-                            if not isinstance(score, list)}
+                stack.callback(self._sims.shutdown, wait=True, cancel_futures=True)
+                self._sims.submit(int)
+            yield
+
+    def _closed(self) -> None:
+        self._pool = self._sims = None
+        # Simulations not yet read may have been cancelled.
+        self._scores = {key: score for key, score in self._scores.items()
+                        if not isinstance(score, list)}
 
     def _call(self, fn: Callable, *args, **kwargs) -> Future | _Made:
         """`fn(*args, **kwargs)`: on the pool while the provider is slow, else
@@ -754,8 +775,10 @@ class EvolutionEngine:
     def _compile(self, code: str) -> None:
         """Give `code` its entry in `_scores` unless it has one: its ParseError
         text if it does not parse, else the entry of the first text with the
-        same tree, else the Futures of its simulations, sent to the workers now.
-        A tree whose unread simulations `_open_pool` dropped is sent again."""
+        same tree, else its score.  Without workers that is computed now, its
+        EvalReport or first CandidateFailure text; with them, it is the Futures
+        of its simulations, sent to the workers now.  A tree whose unread
+        simulations `_closed` dropped is sent again."""
         if code in self._scores:
             return
         try:
@@ -767,8 +790,14 @@ class EvolutionEngine:
         first = self._trees.get(tree)
         if first in self._scores:
             self._scores[code] = self._scores[first]
+            return
+        self._trees[tree] = code
+        if self._sims is None:
+            try:
+                self._scores[code] = problems.evaluate_candidate(self.suite, program)
+            except CandidateFailure as e:
+                self._scores[code] = str(e)
         else:
-            self._trees[tree] = code
             self._scores[code] = [self._sims.submit(_simulate, i, code)
                                   for i in range(len(self.suite.instances))]
 

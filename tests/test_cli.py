@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
 import shutil
@@ -224,6 +225,45 @@ def test_cmd_run_rerun_is_byte_identical_modulo_timestamps(tmp_path):
 # 11 feasible bins) and on instance 2 (at 9); the late one only on instance 2.
 ALWAYS_NEW_BIN = "return log(0 - cap_remaining)"
 NEW_BIN_FOR_SMALL_ITEMS = "return where((item < 5), log(0 - cap_remaining), 0 - bin_index)"
+SCALAR_PRIORITY = "return item - 1"  # parses, but `bind` rejects a scalar priority
+
+
+def artifacts_on_any_workers(tmp_path: Path, monkeypatch, cfg_path: Path, largest: int) -> dict:
+    """The artifacts of `cdeoh run` on `cfg_path`, whose suite's largest instance
+    has `largest` steps: scored on the caller, and the same on 1, the default
+    and 3 simulation workers.  Artifacts are the events minus `ts`, best.json,
+    summary.csv and the population snapshots."""
+    fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    def artifacts(workers: int) -> dict:
+        forks.clear()
+        assert main(["run", str(cfg_path)]) == 0
+        assert len(forks) == workers  # the worker processes, forked or not
+        run_dir = single_run_dir(tmp_path)
+        files = {p.name: p.read_text() for p in run_dir.iterdir()
+                 if p.name in ("best.json", "summary.csv") or p.name.startswith("population_gen")}
+        assert len(files) == 5  # best.json, summary.csv and generations 0-2
+        return {"events": strip_timestamps(read_events(run_dir / "events.jsonl")), **files}
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    assert largest < evolution.WORKER_MIN_STEPS
+    want = artifacts(0)
+    monkeypatch.setattr(evolution, "WORKER_MIN_STEPS", largest)  # now simulated on workers
+    for workers in (1, evolution.SIM_WORKERS, 3):
+        monkeypatch.setattr(evolution, "SIM_WORKERS", workers)
+        assert artifacts(workers) == want, workers
+    return want
+
+
+def evaluations(events: list[dict]) -> tuple[list[str], dict[str, float]]:
+    """The error of each failed evaluation, and the fitness of each code evaluated."""
+    payloads = [e["payload"] for e in events if e["event"] == "evaluation"]
+    return ([p["error"] for p in payloads if "error" in p],
+            {p["code"]: p["fitness"] for p in payloads if "code" in p})
 
 
 def test_cmd_run_artifacts_do_not_depend_on_the_number_of_simulation_workers(
@@ -236,12 +276,13 @@ def test_cmd_run_artifacts_do_not_depend_on_the_number_of_simulation_workers(
     monkeypatch.setattr(ObpSuiteConfig, "build", lambda self: suite)
     sig = problems.input_signature("obp")
     failures = {}
-    for code in (ALWAYS_NEW_BIN, NEW_BIN_FOR_SMALL_ITEMS):
+    for code in (ALWAYS_NEW_BIN, NEW_BIN_FOR_SMALL_ITEMS, SCALAR_PRIORITY):
         with pytest.raises(problems.CandidateFailure) as e:
             problems.evaluate_candidate(suite, dsl.parse(code, sig))
         failures[code] = str(e.value)
     assert "length 11" in failures[ALWAYS_NEW_BIN]  # the text of instance 1, not of 2
     assert "length 9" in failures[NEW_BIN_FOR_SMALL_ITEMS]
+    assert "got a scalar" in failures[SCALAR_PRIORITY]  # fails at `bind`
 
     tb = TranscriptBuilder()
     tb.add_many("initialization", [ladder_response(0), wrap_generation("late", NEW_BIN_FOR_SMALL_ITEMS),
@@ -251,7 +292,7 @@ def test_cmd_run_artifacts_do_not_depend_on_the_number_of_simulation_workers(
                                ladder_response(1), ladder_response(4)])
     tb.add_many("innovation", [wrap_generation("wf", "return cap_remaining - item"),
                                wrap_generation("late", NEW_BIN_FOR_SMALL_ITEMS),
-                               ladder_response(5), ladder_response(2),
+                               ladder_response(5), wrap_generation("scalar", SCALAR_PRIORITY),
                                wrap_generation("ff", "return 0 - bin_index"), BROKEN_CODE_RESPONSE])
     tb.add_many("reflection", [ladder_response(2), BROKEN_CODE_RESPONSE,
                                wrap_generation("ff", "return   0 - bin_index"),
@@ -261,24 +302,44 @@ def test_cmd_run_artifacts_do_not_depend_on_the_number_of_simulation_workers(
         "population_size": 3, "elite_categories": 2, "max_generations": 2,
         "reflection_budget": 2})
 
-    def artifacts(workers: int) -> dict:
-        monkeypatch.setattr(evolution, "SIM_WORKERS", workers)
-        assert main(["run", str(cfg_path)]) == 0
-        run_dir = single_run_dir(tmp_path)
-        files = {p.name: p.read_text() for p in run_dir.iterdir()
-                 if p.name in ("best.json", "summary.csv") or p.name.startswith("population_gen")}
-        assert len(files) == 5  # best.json, summary.csv and generations 0-2
-        return {"events": strip_timestamps(read_events(run_dir / "events.jsonl")), **files}
-
-    default = evolution.SIM_WORKERS
-    want = artifacts(1)
-    errors = [e["payload"]["error"] for e in want["events"]
-              if e["event"] == "evaluation" and "error" in e["payload"]]
-    assert {failures[ALWAYS_NEW_BIN], failures[NEW_BIN_FOR_SMALL_ITEMS]} <= set(errors)
+    want = artifacts_on_any_workers(tmp_path, monkeypatch, cfg_path, largest=18)
+    errors, fitness = evaluations(want["events"])
+    assert set(failures.values()) <= set(errors)
+    assert fitness["return 0 - bin_index"] == fitness["return   0 - bin_index"]
     outcomes = [e["payload"]["outcome"] for e in want["events"] if e["event"] == "reflection"]
     assert {"repaired", "failed"} <= set(outcomes)
-    for workers in (default, 3):
-        assert artifacts(workers) == want, workers
+
+
+def test_cmd_run_tsp_artifacts_do_not_depend_on_the_number_of_simulation_workers(
+        tmp_path, monkeypatch):
+    nearest = "return 0 - dist_to_current"
+    tb = TranscriptBuilder()
+    tb.add_many("initialization", [wrap_generation("nn", nearest),
+                                   wrap_generation("frac", "return visited_fraction"),
+                                   wrap_generation("home", "return dist_to_start - dist_to_current")])
+    tb.add_many("refinement", [wrap_generation("nn", "return 0-dist_to_current"), BROKEN_CODE_RESPONSE,
+                               wrap_generation("mean", "return mean_dist_remaining - dist_to_current"),
+                               wrap_generation("nn", "return  0 -  dist_to_current")] * 2)
+    tb.add_many("innovation", [wrap_generation("far", "return dist_to_current"),
+                               wrap_generation("frac", "return visited_fraction * 2"),
+                               wrap_generation("mix", "return 0 - dist_to_current * visited_fraction")] * 2)
+    tb.add_many("reflection", [BROKEN_CODE_RESPONSE, wrap_generation("nn", nearest),
+                               wrap_generation("frac", "return visited_fraction")] * 6)
+    tb.add_many("category-induction", ["greedy", "scan", "threshold", "spread"] * 10)
+    cfg_path = write_run_config(tmp_path, tb, task="tsp", evolution={
+        "population_size": 3, "elite_categories": 2, "max_generations": 2,
+        "reflection_budget": 2})
+    cfg = json.loads(cfg_path.read_text())
+    cfg_path.write_text(json.dumps({**cfg, "suite": {"sizes": [8, 12], "seeds": [1, 2]}}))
+
+    want = artifacts_on_any_workers(tmp_path, monkeypatch, cfg_path, largest=12)
+    errors, fitness = evaluations(want["events"])
+    assert any("got a scalar" in error for error in errors)  # fails at `bind`
+    assert any(error.startswith("parse error") for error in errors)
+    outcomes = [e["payload"]["outcome"] for e in want["events"] if e["event"] == "reflection"]
+    assert {"repaired", "failed"} <= set(outcomes)
+    assert fitness[nearest] == fitness["return 0-dist_to_current"] == fitness[
+        "return  0 -  dist_to_current"]
 
 
 def test_cmd_run_budget_exhausted_is_nonzero(tmp_path):

@@ -33,6 +33,7 @@ from cdeoh.problems import CandidateFailure
 
 from conftest import (
     BROKEN_CODE_RESPONSE,
+    LADDER_ITEMS,
     NO_CODE_RESPONSE,
     CountingProvider,
     TranscriptBuilder,
@@ -851,7 +852,7 @@ def wide_transcript(n: int) -> TranscriptBuilder:
 def test_calls_of_one_kind_overlap_and_at_most_max_in_flight_run_on_the_pool(
         tmp_path, monkeypatch, limit):
     monkeypatch.setattr(evolution, "MAX_IN_FLIGHT", limit)
-    n = 9  # 18 requests in generation 1, more than either limit
+    n = max(9, limit // 2 + 1)  # 2n requests in generation 1, more than the limit
     provider = ThreadedProvider(wide_transcript(n).write(tmp_path / "t.jsonl"), delay_s=0.1)
     logged_run(provider, config(population_size=n, max_generations=1))
     assert provider.same_kind_overlaps > 0
@@ -1185,6 +1186,7 @@ def test_no_worker_thread_outlives_run(tmp_path, monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", recording_fork)
+    assert LADDER_ITEMS >= evolution.WORKER_MIN_STEPS  # the suite below is simulated on workers
     baseline = threading.active_count()
     tb = mixed_transcript()
     missing_innovation = TranscriptBuilder()
@@ -1245,7 +1247,7 @@ class Blocking:
         print(*[p.pid for p in multiprocessing.active_children()], flush=True)
         time.sleep(60)
 
-suite = problems.make_obp_suite([20], [50], [1])
+suite = problems.make_obp_suite([evolution.WORKER_MIN_STEPS], [50], [1])  # large enough to fork
 evolution.EvolutionEngine(evolution.EvolutionConfig(), Blocking(), suite).run()
 """
 

@@ -3,6 +3,7 @@ and the names the package and the benchmark rely on resolve."""
 
 import ast
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import cdeoh
 from cdeoh import cli
+
+from conftest import LADDER_CAPACITY, LADDER_ITEMS, TranscriptBuilder, ladder_response
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,13 +86,55 @@ assert not {"multiprocessing", "concurrent.futures.process"} & set(sys.modules),
 
 def test_cli_import_loads_no_http_client_and_jsonio_no_other_cdeoh_module(tmp_path):
     """Only HttpProvider.complete imports the HTTP client, so `cdeoh run` with a
-    scripted provider never pays for it, and only a run imports the process pool
-    it simulates on, so no command starts slower for it; jsonio stands alone."""
+    scripted provider never pays for it, and only a run on a large enough suite
+    imports the process pool it simulates on, so no command starts slower for
+    it; jsonio stands alone."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_FORK_CHECK = """
+import json, os, sys
+forks = []
+os.register_at_fork(before=lambda: forks.append(None))
+from cdeoh import cli, evolution
+assert cli.main(["run", sys.argv[1]]) == 0
+pool = {"multiprocessing", "concurrent.futures.process"} & set(sys.modules)
+print(json.dumps({"forks": len(forks), "workers": evolution.SIM_WORKERS, "pool": sorted(pool)}))
+"""
+
+
+def test_run_on_a_small_suite_forks_nothing(tmp_path):
+    """`cdeoh run` on a suite whose instances all have fewer than
+    `evolution.WORKER_MIN_STEPS` steps scores on the caller: it neither imports
+    the process pool nor forks.  The 60-item ladder suite forks one worker per
+    `SIM_WORKERS`."""
+    TranscriptBuilder().add_many("initialization", [ladder_response(t) for t in (0, 1)]) \
+        .add_many("refinement", [ladder_response(t) for t in (2, 3)]) \
+        .add_many("innovation", [ladder_response(t) for t in (4, 5)]) \
+        .add_many("category-induction", ["a", "b", "c", "d", "e", "f"]) \
+        .write(tmp_path / "transcript.jsonl")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = {}
+    for items, capacity in ((25, 100), (LADDER_ITEMS, LADDER_CAPACITY)):
+        config = tmp_path / f"config{items}.json"
+        config.write_text(json.dumps({
+            "task": "obp", "suite": {"sizes": [items], "capacities": [capacity], "seeds": [1]},
+            "evolution": {"population_size": 2, "elite_categories": 2, "max_generations": 1},
+            "provider": {"provider": "scripted", "transcript_path": "transcript.jsonl"},
+            "output_dir": str(tmp_path / "runs")}))
+        proc = subprocess.run([sys.executable, "-c", _FORK_CHECK, str(config)], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[items] = json.loads(proc.stdout.splitlines()[-1])
+    assert runs[25]["forks"] == 0 and runs[25]["pool"] == []
+    ladder = runs[LADDER_ITEMS]
+    assert ladder["forks"] == ladder["workers"] > 0
+    assert ladder["pool"] == ["concurrent.futures.process", "multiprocessing"]
 
 
 def _bound_names(stmt: ast.stmt) -> list[str]:
