@@ -412,7 +412,7 @@ def cmd_report(run_dir_arg: str) -> int:
         "# Run report",
         "",
         f"Best candidate: id {best.id}, category `{best.category}`,"
-        f" fitness {best.fitness:.6f} (mean gap {-best.fitness:.6f}%)",
+        f" fitness {best.fitness + 0.0:.6f} (mean gap {-best.fitness + 0.0:.6f}%)",
         "",
         "## Thought",
         "",

@@ -398,6 +398,13 @@ def parse(source: str, inputs: Mapping[str, Kind] | None = None) -> Program:
 # IEEE errors ignored: its caller enters `np.errstate(all="ignore")`, once
 # per call (`evaluate`) or once around many calls (the simulators, after
 # `bind`).
+#
+# A program's length-one form (`bind_one`) is the same generator run with
+# every input read as a float64 scalar: a vector's only element.  Every
+# operation then takes its scalar template, and a reduction of a scalar
+# takes the value the reduction has on a one-element vector: `len` is 1,
+# `minval` and `maxval` the element, and `sum` and `mean` the element plus
+# 0.0, as `np.add.reduce` of a one-element vector turns -0.0 into +0.0.
 
 _Scalar = np.float64
 _NAN = _Scalar(np.nan)
@@ -443,6 +450,9 @@ _TEMPLATES = {
 # A comparison's truth values as a 0/1 mask, and `where` over truth values.
 _MASK = {"scalar": "_one if {} else _zero", "vector": "{}.astype(_f64)"}
 _SELECT = {"scalar": "{1} if {0} else {2}", "vector": "_where({0}, {1}, {2})"}
+# A reduction of a scalar: its value on the one-element vector of it.
+_ONE_REDUCTIONS = {"sum": "{0} + _zero", "mean": "{0} + _zero", "minval": "{0}", "maxval": "{0}",
+                   "len": "_one"}
 
 # Reductions with no value on an empty vector.
 _NEEDS_NONEMPTY = ("minval", "maxval")
@@ -465,6 +475,7 @@ class _Analysis:
     n_nodes: int                   # nodes visited per call: each node once
     empty_error: str | None        # the error of a call whose vectors are empty
     run: Callable[[dict], object] | None = None  # env -> result, generated on first use
+    one: Callable[[dict], object] | None = None  # the length-one form, generated on first use
 
 
 def _join(*kinds: Kind) -> Kind:
@@ -600,7 +611,9 @@ class _Generator:
         if isinstance(e, Where):
             return self.where(e)
         if isinstance(e, Reduce):
-            return self.emit(_BUILTIN_TEMPLATES[e.func], [self.value(e.arg)[0]]), "scalar"
+            arg, kind = self.value(e.arg)
+            templates = _BUILTIN_TEMPLATES if kind == "vector" else _ONE_REDUCTIONS
+            return self.emit(templates[e.func], [arg]), "scalar"
         raise TypeError(f"not an Expr: {e!r}")
 
     def where(self, e: Where) -> tuple[_Operand, Kind]:
@@ -737,12 +750,26 @@ def bind(program: Program, signature: Mapping[str, Kind], length: int) -> Bound:
     `evaluate` would on such inputs.  Its env holds only the inputs in
     `reads`, as float64 scalars and float64 1-d arrays, and is not changed.
     Call it inside `np.errstate(all="ignore")`; the result is a float64 array
-    for a vector kind and a float64 scalar otherwise.
+    for a vector kind and a float64 scalar otherwise.  `bind_one` gives the
+    program's length-one form, for calls whose vectors are 1 long.
     """
     probe = {name: _Scalar(0.0) if kind == "scalar" else np.empty(length)
              for name, kind in signature.items()}
     analysis, _ = _checked(program, probe)
     return Bound(analysis.run, analysis.kind, analysis.reads)
+
+
+def bind_one(program: Program, signature: Mapping[str, Kind]) -> Callable[[dict], object]:
+    """The length-one form of `program`, after `bind(program, signature, 1)`
+    and its EvalError: `run` with every input read as a float64 scalar, a
+    vector's only element.  Its env holds the inputs in `reads`, and it
+    returns as a float64 scalar the bits of the only element `run` returns on
+    one-element vectors.  Call it inside `np.errstate(all="ignore")`."""
+    bind(program, signature, 1)
+    analysis = program._analysis
+    if analysis.one is None:
+        analysis.one = _Generator(tuple((name, "scalar") for name, _ in program.arity)).function(program)
+    return analysis.one
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from cdeoh import dsl, jsonio
-from cdeoh.dsl import EvalError, Program, bind
+from cdeoh.dsl import EvalError, Program, bind, bind_one
 from cdeoh.dsl import evaluate  # noqa: F401  (the benchmark's tracer hooks problems.evaluate)
 
 OBP_INPUTS: Mapping[str, dsl.Kind] = {
@@ -259,6 +259,9 @@ def _first_max(prio: np.ndarray) -> tuple[int, np.float64]:
 def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     """Run the online packing simulation; returns the final bin loads.
 
+    Each item goes into the feasible bin of the first maximum priority, or a
+    new one if there is none or that priority is NaN or -inf.  A step with
+    one feasible bin calls the program's length-one form (`bind_one`).
     Raises CandidateFailure on any evaluation error or wrong-shape result.
     """
     cap = instance.capacity
@@ -269,6 +272,7 @@ def pack_online(instance: ObpInstance, program: Program) -> list[int]:
     n_open = 0
     live = remaining[:n_open]  # the open bins
     checked = 0  # calls with up to this many feasible bins pass `bind`'s checks
+    one = None
     with np.errstate(all="ignore"):
         for item in np.asarray(instance.items, dtype=np.float64):
             feasible = (live >= item).nonzero()[0]
@@ -278,16 +282,24 @@ def pack_online(instance: ObpInstance, program: Program) -> list[int]:
                 if k > checked:
                     run, reads = _bind(program, OBP_INPUTS, k, "feasible bins")
                     checked = k
+                if k == 1:  # the length-one form, on the scalars of the one bin
+                    if one is None:
+                        one = bind_one(program, OBP_INPUTS)  # `bind` passed at length >= 1
+                    feasible = feasible[0]
                 env = {}
                 if "item" in reads:
                     env["item"] = item
                 if "cap_remaining" in reads:
                     env["cap_remaining"] = live[feasible]
                 if "bin_index" in reads:
-                    env["bin_index"] = feasible.astype(np.float64)
-                best, top = _first_max(run(env))  # first max <=> lowest bin_index
-                if top != -np.inf:
-                    place_at = int(feasible[best])
+                    env["bin_index"] = np.float64(feasible)  # a float64 scalar or array
+                if k == 1:
+                    if one(env) > -np.inf:  # neither NaN nor -inf
+                        place_at = int(feasible)
+                else:
+                    best, top = _first_max(run(env))  # first max <=> lowest bin_index
+                    if top != -np.inf:
+                        place_at = int(feasible[best])
             if place_at < 0:
                 place_at = n_open
                 remaining[place_at] = cap

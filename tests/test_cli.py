@@ -639,6 +639,8 @@ def test_cmd_report_outputs(tmp_path):
     best = json.loads((run_dir / "best.json").read_text())
     assert best["code"] in report_md
     assert best["category"] in report_md
+    # a zero-gap best has fitness -0.0; the report prints it as `cdeoh run` does
+    assert "fitness 0.000000 (mean gap 0.000000%)" in report_md
 
     # report.csv recomputed from events matches summary.csv exactly
     assert (run_dir / "report.csv").read_text() == (run_dir / "summary.csv").read_text()

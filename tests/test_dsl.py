@@ -373,6 +373,66 @@ def test_compiled_evaluate_matches_reference_interpreter(p, s, v, v_as_list):
     assert np.asarray(got.data).tobytes() == np.asarray(expected.data).tobytes()
 
 
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@given(p=_programs(), values=st.lists(st.tuples(_INPUT_FLOATS, _INPUT_FLOATS), min_size=1, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_length_one_form_matches_run_and_evaluate(p, values):
+    try:
+        q = parse(print_program(p), dict(p.arity))
+    except ParseError as e:
+        assert _is_scalar_reduction_error(e)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = dsl.bind_one(q, _RT_SIG)
+        bound = dsl.bind(q, _RT_SIG, 1)
+        for s, v in values:
+            scalars = {"s": np.float64(s), "v": np.float64(v)}
+            vectors = {"s": np.float64(s), "v": np.array([v])}
+            with np.errstate(all="ignore"):
+                got = one({k: scalars[k] for k in bound.reads})
+                want = bound.run({k: vectors[k] for k in bound.reads})
+            assert type(got) is np.float64
+            assert _bits(got) == _bits(want)
+            assert _bits(got) == _bits(evaluate(q, vectors).data)
+
+
+@pytest.mark.parametrize("func, numpy_reduce", [
+    ("sum", np.add.reduce), ("mean", np.mean), ("minval", np.minimum.reduce),
+    ("maxval", np.maximum.reduce), ("len", len)])
+@pytest.mark.parametrize("x", [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, -2.5])
+def test_length_one_reductions_match_numpy_on_one_element(func, numpy_reduce, x):
+    # np.add.reduce of [-0.0] is +0.0: a numpy that changes it fails here
+    sig = {"v": "vector"}
+    p = parse(f"return {func}(v)", sig)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("error")
+        got = dsl.bind_one(p, sig)({"v": np.float64(x)})
+    assert _bits(got) == _bits(numpy_reduce(np.array([x])))
+
+
+def test_length_one_form_is_generated_on_first_use_only(monkeypatch):
+    calls = _count_generation(monkeypatch)
+    p = parse("return -(cap_remaining - item) + sum(bin_index)", OBP_SIG)
+    dsl.bind(p, OBP_SIG, 3)
+    assert len(calls) == 1 and p._analysis.one is None
+    one = dsl.bind_one(p, OBP_SIG)
+    assert dsl.bind_one(p, OBP_SIG) is one and len(calls) == 2
+    env = {"item": np.float64(4.0), "cap_remaining": np.float64(4.0), "bin_index": np.float64(2.0)}
+    assert one(env) == 2.0
+
+
+def test_length_one_form_makes_the_checks_of_bind():
+    p = parse("return cap_remaining + noise", {**OBP_SIG, "noise": "vector"})
+    with pytest.raises(EvalError) as ei:
+        dsl.bind_one(p, OBP_SIG)
+    assert str(ei.value) == "eval error [missing-input]: missing input 'noise'"
+    assert p._analysis.one is None
+
+
 _BIN_OPS = ("+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=")
 
 

@@ -421,23 +421,26 @@ def _outcome(build, instance, program):
 
 
 def _recorded_bound(build, instance, program):
-    """Run a simulator with `problems.bind` wrapped so that the env of every
-    call of the bound closure is recorded; return (result or CandidateFailure
-    text, env per step)."""
+    """Run a simulator with `problems.bind` and `problems.bind_one` wrapped so
+    that the env of every call of the bound vector function and of the
+    length-one form is recorded, a scalar as a 0-d array; return (result or
+    CandidateFailure text, env per step)."""
     steps = []
-    real = problems.bind
+    real_bind, real_one = problems.bind, problems.bind_one
 
-    def recording(prog, signature, length):
-        bound = real(prog, signature, length)
-
+    def recorded(function):
         def run(env):
             steps.append({k: np.array(v, copy=True) for k, v in env.items()})
-            return bound.run(env)
+            return function(env)
+        return run
 
-        return bound._replace(run=run)
+    def recording(prog, signature, length):
+        bound = real_bind(prog, signature, length)
+        return bound._replace(run=recorded(bound.run))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(problems, "bind", recording)
+        mp.setattr(problems, "bind_one", lambda prog, signature: recorded(real_one(prog, signature)))
         outcome = _outcome(build, instance, program)
     return outcome, steps
 
@@ -542,8 +545,19 @@ PACK_NAN_PROGRAMS = (
 # all ties and partial ties, partly NaN (at the first max and after the
 # max), all NaN (also by a folded 0 / 0), partly and wholly -inf, a scalar
 # division by zero, quasi-random picks, readers and non-readers of
-# bin_index (one reads it only in an unused binding) and a scalar result (a
-# CandidateFailure at the first call).
+# bin_index (one reads it only in an unused binding), a scalar result (a
+# CandidateFailure at the first call) and, in PACK_REDUCTION_PROGRAMS, each
+# reduction at a step with one feasible bin.
+PACK_REDUCTION_PROGRAMS = (
+    # An exact fit sums [-0.0] to +0.0: priority +inf, and the item is placed.
+    "return cap_remaining / sum(-(cap_remaining - item))",
+    "return cap_remaining / mean(-(cap_remaining - item))",
+    # An exact fit gives log(0) = -inf at one bin: the item opens a bin.
+    "return log(minval(cap_remaining) - item) - bin_index",
+    # An exact fit gives 0 / 0 = NaN at one bin: the item opens a bin.
+    "return 0 - maxval(cap_remaining - item) / (cap_remaining - item)",
+    "return log(len(cap_remaining) - 1) - bin_index",
+)
 PACK_PROGRAMS = (
     problems.BEST_FIT_PROGRAM,
     problems.FIRST_FIT_PROGRAM,
@@ -558,6 +572,7 @@ PACK_PROGRAMS = (
     "return bin_index * 7919 - floor(bin_index * 7919 / 13) * 13",
     "let unused = bin_index; return 0 - cap_remaining",
     *PACK_NAN_PROGRAMS,
+    *PACK_REDUCTION_PROGRAMS,
     "return item",
 )
 
@@ -571,6 +586,14 @@ PACK_PROGRAMS = (
 def test_pack_online_matches_reference(cap, items, src):
     inst = ObpInstance(capacity=cap, items=tuple(min(x, cap) for x in items))
     assert_matches_reference(pack_online, reference_pack_online, inst, compile_obp(src))
+
+
+@pytest.mark.parametrize("src", PACK_PROGRAMS)
+def test_pack_online_one_bin_steps_match_reference(src):
+    # The second and fourth items fit the one open bin exactly.
+    inst = ObpInstance(capacity=10, items=(6, 4, 3, 7, 5, 2, 9))
+    _, steps = assert_matches_reference(pack_online, reference_pack_online, inst, compile_obp(src))
+    assert src == "return item" or all(x.shape == () for x in steps[0].values())
 
 
 @pytest.mark.parametrize("task, src", [("obp", src) for src in PACK_NAN_PROGRAMS]
@@ -619,6 +642,27 @@ def test_pack_online_calls_no_program_without_a_feasible_bin():
         assert pack_online(inst, prog) == reference_pack_online(inst, prog) == list(items)
 
 
+def test_pack_online_calls_the_length_one_form_at_one_feasible_bin(monkeypatch):
+    build, _, instance = _SIMULATORS["obp"]
+    calls = []
+    real_bind, real_one = problems.bind, problems.bind_one
+
+    def counted(function, form):
+        def run(env):
+            calls.append((form, env["cap_remaining"].shape))
+            return function(env)
+        return run
+
+    def bind(*args):
+        bound = real_bind(*args)
+        return bound._replace(run=counted(bound.run, "vector"))
+
+    monkeypatch.setattr(problems, "bind", bind)
+    monkeypatch.setattr(problems, "bind_one", lambda *args: counted(real_one(*args), "length-one"))
+    assert build(instance, BEST_FIT) == [8, 6, 6]
+    assert calls == [("length-one", ()), ("vector", (3,))]
+
+
 def _sum_of_scalar(signature, scalar):
     """`return sum(<scalar>)` built without parse, which would reject it."""
     return dsl.Program(source=f"return sum({scalar})", bindings=(),
@@ -626,8 +670,8 @@ def _sum_of_scalar(signature, scalar):
 
 
 _SIMULATORS = {
-    # The third item opens a bin beside one of two feasible ones; the fifth
-    # sees three feasible bins.
+    # Under best fit the second item has one feasible bin, the third and
+    # fourth none, and the fifth three.
     "obp": (pack_online, reference_pack_online, ObpInstance(capacity=10, items=(6, 1, 6, 6, 1))),
     "tsp": (construct_tour, reference_construct_tour, gen_tsp(1, 6)),
 }
